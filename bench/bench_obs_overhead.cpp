@@ -126,8 +126,8 @@ int main() {
     std::printf("(sink %llu)\n", static_cast<unsigned long long>(Sink));
 
   // Hooks per evaluation in EvalEngine::evalOne: one metrics guard, one
-  // span guard, plus the TraceLog timestamp's clock read; round up.
-  constexpr double HooksPerEval = 4;
+  // span guard, plus the span start's clock read.
+  constexpr double HooksPerEval = 3;
   double HookNsPerEval = TripleNs / 3 * HooksPerEval;
   double EvalNs = OffRate > 0 ? 1e9 / OffRate : 1;
   double DisabledOverheadPct = HookNsPerEval / EvalNs * 100.0;

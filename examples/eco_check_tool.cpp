@@ -8,9 +8,9 @@
 //            and natively compiled results compared element-wise against
 //            the golden reference under an ulp tolerance
 //   replay   a real tune at --jobs 1 and --jobs N: winners must be
-//            bit-identical and both JSONL traces must pass the invariant
-//            audit (dense seqs, consistent costs, ordered stages,
-//            trace minimum == reported best)
+//            bit-identical and both event streams must pass the
+//            invariant audit (dense seqs, consistent costs, ordered
+//            stages, stream minimum == reported best)
 //   faults   truncated / corrupted / concurrently rewritten cache and
 //            checkpoint files: loaders must recover, never crash, never
 //            silently resurrect damaged state
@@ -18,7 +18,7 @@
 //   eco_check [--kernel=all|matmul|jacobi|matvec] [--seed=S] [--configs=N]
 //             [--n=SIZE] [--scale=K] [--max-ulps=U] [--max-variants=V]
 //             [--jobs=N] [--skip-native] [--skip-diff] [--skip-replay]
-//             [--skip-faults] [--fleet] [--fuzz=ROUNDS] [--audit-trace=FILE]
+//             [--skip-faults] [--fleet] [--fuzz=ROUNDS]
 //             [--audit-db=FILE] [--audit-events=FILE] [--tmpdir=DIR]
 //             [--log-level=off|error|warn|info|debug]
 //
@@ -27,14 +27,14 @@
 //                   with an honest one) — the tune must complete with a
 //                   winner bit-identical to a fleetless run
 //   --fuzz=R        run R extra diff rounds with fresh random seeds
-//   --audit-trace=F audit an existing JSONL trace file and exit
 //   --audit-db=F    replay-audit a tuned-config database (ConfigDB JSON)
 //                   and exit: every stored best cost must be bitwise
 //                   reproducible through a fresh simulator
 //   --audit-events=F audit a flight-recorder events file (JSONL) and
-//                   exit: schema, monotonic seq/timestamps, rejected-
-//                   event <-> counter pairing, and stream totals that
-//                   reconcile with each tune.done record
+//                   exit: schema, dense seq / monotonic timestamps,
+//                   rejected-event <-> counter pairing, stream totals
+//                   that reconcile with each tune.done record, and per
+//                   tune: bitwise-consistent costs, ordered stages
 //
 // Exit status: 0 all checks clean, 1 any mismatch/issue, 2 usage error.
 //
@@ -44,7 +44,6 @@
 #include "check/DiffCheck.h"
 #include "check/EventAudit.h"
 #include "check/FaultInject.h"
-#include "check/TraceAudit.h"
 #include "kernels/Kernels.h"
 #include "obs/Log.h"
 
@@ -69,7 +68,6 @@ struct ToolOptions {
   bool RunReplay = true;
   bool RunFaults = true;
   bool RunFleet = false;
-  std::string AuditTrace;
   std::string AuditDb;
   std::string AuditEvents;
   std::string TmpDir;
@@ -121,10 +119,6 @@ bool parseArg(ToolOptions &Opts, const std::string &Arg) {
     Opts.FuzzRounds = 4;
     return true;
   }
-  if (const char *V = valueOf("--audit-trace=")) {
-    Opts.AuditTrace = V;
-    return true;
-  }
   if (const char *V = valueOf("--audit-db=")) {
     Opts.AuditDb = V;
     return true;
@@ -174,7 +168,7 @@ int main(int Argc, char **Argv) {
           "[--configs=N] [--n=SIZE] [--scale=K] [--max-ulps=U] "
           "[--max-variants=V] [--jobs=N] [--skip-native] [--skip-diff] "
           "[--skip-replay] [--skip-faults] [--fleet] [--fuzz[=ROUNDS]] "
-          "[--audit-trace=FILE] [--audit-db=FILE] [--audit-events=FILE] "
+          "[--audit-db=FILE] [--audit-events=FILE] "
           "[--tmpdir=DIR] "
           "[--log-level=off|error|warn|info|debug]\n",
           Argv[0]);
@@ -182,12 +176,7 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // --audit-trace / --audit-db are standalone modes: audit and report.
-  if (!Opts.AuditTrace.empty()) {
-    TraceAuditReport Report = auditTraceFile(Opts.AuditTrace);
-    std::printf("%s", Report.summary().c_str());
-    return Report.ok() ? 0 : 1;
-  }
+  // --audit-db / --audit-events are standalone modes: audit and report.
   if (!Opts.AuditDb.empty()) {
     DbAuditReport Report = auditConfigDBFile(Opts.AuditDb);
     std::printf("%s", Report.summary().c_str());

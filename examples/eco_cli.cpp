@@ -4,7 +4,7 @@
 //
 //   eco_cli [--kernel=matmul|jacobi|matvec] [--machine=sgi|sun|host]
 //           [--n=SIZE] [--scale=K] [--native] [--emit-c] [--variants]
-//           [--trace] [--jobs=N] [--cache-file=F] [--trace-file=F]
+//           [--trace] [--jobs=N] [--cache-file=F]
 //           [--checkpoint=F] [--resume] [--metrics-file=F]
 //           [--chrome-trace=F] [--events-file=F]
 //           [--log-level=LVL] [--progress]
@@ -17,10 +17,9 @@
 //   --jobs=N       evaluate candidate batches on N threads (engine)
 //   --cache-file=F persist the evaluation cache to F (JSON); re-runs on
 //                  identical input replay from it nearly for free
-//   --trace-file=F stream structured per-point records to F (JSONL)
 //   --checkpoint=F write per-variant tune state to F after each search
 //   --resume       load --checkpoint (and --cache-file) state and skip
-//                  already-searched variants (--trace-file appends)
+//                  already-searched variants (--events-file appends)
 //   --metrics-file=F  dump the metrics registry (counters/gauges/
 //                  histograms) to F as JSON after the tune
 //   --chrome-trace=F  export the tune's span timeline to F in Chrome
@@ -85,11 +84,10 @@ struct CliOptions {
   bool Report = false;
   int Jobs = 1;
   std::string CacheFile;
-  std::string TraceFile;
   std::string CheckpointFile;
   bool Resume = false;
   std::string MetricsFile;
-  std::string ChromeTraceFile;
+  std::string ChromeTracePath;
   std::string EventsFile;
   std::string LogLevel;
   bool Progress = false;
@@ -248,10 +246,6 @@ bool parseArg(CliOptions &Opts, const std::string &Arg) {
     Opts.CacheFile = V;
     return !Opts.CacheFile.empty();
   }
-  if (const char *V = valueOf("--trace-file=")) {
-    Opts.TraceFile = V;
-    return !Opts.TraceFile.empty();
-  }
   if (const char *V = valueOf("--checkpoint=")) {
     Opts.CheckpointFile = V;
     return !Opts.CheckpointFile.empty();
@@ -261,8 +255,8 @@ bool parseArg(CliOptions &Opts, const std::string &Arg) {
     return !Opts.MetricsFile.empty();
   }
   if (const char *V = valueOf("--chrome-trace=")) {
-    Opts.ChromeTraceFile = V;
-    return !Opts.ChromeTraceFile.empty();
+    Opts.ChromeTracePath = V;
+    return !Opts.ChromeTracePath.empty();
   }
   if (const char *V = valueOf("--events-file=")) {
     Opts.EventsFile = V;
@@ -328,7 +322,7 @@ int main(int Argc, char **Argv) {
                    "[--machine=sgi|sun|host] [--n=SIZE] [--scale=K] "
                    "[--native] [--emit-c] [--variants] [--trace] "
                    "[--report] [--jobs=N] [--cache-file=F] "
-                   "[--trace-file=F] [--checkpoint=F] [--resume] "
+                   "[--checkpoint=F] [--resume] "
                    "[--metrics-file=F] [--chrome-trace=F] "
                    "[--events-file=F] "
                    "[--log-level=off|error|warn|info|debug] "
@@ -345,10 +339,13 @@ int main(int Argc, char **Argv) {
   // reporter; spans feed --chrome-trace. Both default off (zero cost).
   if (!Opts.MetricsFile.empty() || Opts.Progress)
     obs::setMetricsEnabled(true);
-  if (!Opts.ChromeTraceFile.empty())
+  if (!Opts.ChromeTracePath.empty())
     obs::SpanCollector::global().setEnabled(true);
   if (!Opts.EventsFile.empty()) {
-    if (!obs::EventBus::global().openFile(Opts.EventsFile)) {
+    // A resumed tune appends a new seq=0 segment after the killed run's
+    // events instead of clobbering them.
+    if (!obs::EventBus::global().openFile(Opts.EventsFile,
+                                          /*Append=*/Opts.Resume)) {
       std::fprintf(stderr, "error: cannot open events file %s\n",
                    Opts.EventsFile.c_str());
       return 1;
@@ -399,13 +396,11 @@ int main(int Argc, char **Argv) {
                   : static_cast<EvalBackend &>(SimBackend);
 
   // Everything runs through the engine: --jobs controls parallelism,
-  // --cache-file persistence, --trace-file structured tracing. The
-  // chosen configuration is identical for every --jobs value.
+  // --cache-file persistence. The chosen configuration is identical for
+  // every --jobs value.
   EngineOptions EOpts;
   EOpts.Jobs = Opts.Jobs;
   EOpts.CacheFile = Opts.CacheFile;
-  EOpts.TraceFile = Opts.TraceFile;
-  EOpts.TraceAppend = Opts.Resume; // a resumed tune extends its trace
   EvalEngine Engine(Backend, EOpts);
   if (Opts.Jobs > 1 && Engine.jobs() == 1)
     std::fprintf(stderr,
@@ -445,15 +440,15 @@ int main(int Argc, char **Argv) {
     std::printf("events streamed to %s (render: eco_cli report %s)\n",
                 Opts.EventsFile.c_str(), Opts.EventsFile.c_str());
   }
-  if (!Opts.ChromeTraceFile.empty()) {
+  if (!Opts.ChromeTracePath.empty()) {
     if (obs::SpanCollector::global().writeChromeTrace(
-            Opts.ChromeTraceFile))
+            Opts.ChromeTracePath))
       std::printf("chrome trace written to %s (open in Perfetto or "
                   "chrome://tracing)\n",
-                  Opts.ChromeTraceFile.c_str());
+                  Opts.ChromeTracePath.c_str());
     else
       std::fprintf(stderr, "error: cannot write chrome trace to %s\n",
-                   Opts.ChromeTraceFile.c_str());
+                   Opts.ChromeTracePath.c_str());
   }
 
   if (R.BestVariant < 0) {

@@ -53,13 +53,19 @@ run_suite build --
 step "fuzz smoke: eco_fuzz --iters=200 --seed=7"
 "$REPO/build/examples/eco_fuzz" --iters=200 --seed=7
 
-step "flight-recorder smoke: tune -> report -> audit-events"
+step "flight-recorder smoke: tune -> resume -> report -> audit-events"
+# The resumed run must append a second segment to the same events file;
+# the audit then checks both segments' windows.
 EV="$REPO/build/verify_events.jsonl"
-rm -f "$EV"
-"$REPO/build/examples/eco_cli" --kernel=matmul --n=48 --scale=16 \
-    --events-file="$EV" > /dev/null
+CK="$REPO/build/verify_checkpoint.json"
+rm -f "$EV" "$CK"
+for RESUME in "" --resume; do
+  "$REPO/build/examples/eco_cli" --kernel=matmul --n=48 --scale=16 \
+      --jobs=2 --checkpoint="$CK" --events-file="$EV" $RESUME > /dev/null
+done
 "$REPO/build/examples/eco_cli" report "$EV" > /dev/null
 "$REPO/build/examples/eco_check" --audit-events="$EV"
+rm -f "$CK"
 
 step "fleet smoke: daemon + 2 eco_worker, SIGKILL one mid-tune"
 FSOCK="$REPO/build/verify_fleet.sock"

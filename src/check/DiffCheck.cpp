@@ -39,6 +39,12 @@ uint64_t eco::check::ulpDiff(double A, double B) {
   return Ka > Kb ? Ka - Kb : Kb - Ka;
 }
 
+bool eco::check::withinTolerance(double Got, double Want, double Scale,
+                                 uint64_t MaxUlps) {
+  return ulpDiff(Got, Want) <= MaxUlps ||
+         std::abs(Got - Want) <= 1e-9 * Scale;
+}
+
 std::vector<CheckKernel> eco::check::checkKernels() {
   std::vector<CheckKernel> Kernels;
 
@@ -256,15 +262,18 @@ void compareLeg(const std::vector<double> &Got,
     Report.Mismatches.push_back(std::move(M));
     return;
   }
+  double Scale = 0;
+  for (double W : Want)
+    if (std::isfinite(W))
+      Scale = std::max(Scale, std::abs(W));
   size_t Bad = 0, FirstBad = 0;
   uint64_t WorstUlps = 0;
   for (size_t X = 0; X < Got.size(); ++X) {
     ++Report.Comparisons;
-    uint64_t U = ulpDiff(Got[X], Want[X]);
-    if (U > Opts.MaxUlps) {
+    if (!withinTolerance(Got[X], Want[X], Scale, Opts.MaxUlps)) {
       if (Bad == 0)
         FirstBad = X;
-      WorstUlps = std::max(WorstUlps, U);
+      WorstUlps = std::max(WorstUlps, ulpDiff(Got[X], Want[X]));
       ++Bad;
     }
   }

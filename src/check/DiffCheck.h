@@ -68,11 +68,12 @@ struct DiffCheckOptions {
                                   ///  prefetch-on corner configurations
   int64_t ProblemSize = 13;       ///< odd, small: exercises cleanup code
   unsigned MachineScale = 64;     ///< shrink caches so tiling matters
-  /// Element tolerance (0 = bit-exact). The default absorbs only
-  /// reference-vs-IR summation association (the IR builds balanced sum
-  /// trees, the reference C++ sums left-to-right — a few ulps on an
-  /// occasional element); the transformations themselves never
-  /// reassociate, and real indexing bugs differ by whole values.
+  /// Element tolerance in ulps (see withinTolerance, which also admits
+  /// errors tiny against the output's largest magnitude). The default
+  /// absorbs reference-vs-IR summation association (the IR builds
+  /// balanced sum trees, the reference C++ sums left-to-right); the
+  /// transformations themselves never reassociate, and real indexing
+  /// bugs differ by whole values.
   uint64_t MaxUlps = 16;
   bool CheckNative = true;        ///< run the CEmitter->NativeRunner leg
   std::string KernelFilter;       ///< empty = all kernels
@@ -112,6 +113,20 @@ DiffCheckReport runDiffCheck(const DiffCheckOptions &Opts = {});
 /// equality (and for +0 vs -0); UINT64_MAX when either value is NaN or
 /// the values have no finite ordering between them.
 uint64_t ulpDiff(double A, double B);
+
+/// The element tolerance every differential check applies: \p Got agrees
+/// with \p Want when they are at most \p MaxUlps ulps apart, or when the
+/// absolute error is at most 1e-9 x \p Scale, the largest magnitude in
+/// the expected array. Summing in another order (the reference C++
+/// left-to-right, the IR in balanced trees, a permuted reduction) can
+/// drift by hundreds of ulps on an element that cancels to near zero —
+/// jacobi's six-term sums do from N = 24 up — while staying ~1e-16 of the
+/// array's scale. Real miscompiles have only ever been seen at >= 1e14
+/// ulps (wrong cells entirely): 1e-9 relative is ~1e6 times looser than
+/// reassociation noise and ~1e5 times tighter than any bug. NaN never
+/// agrees with a number.
+bool withinTolerance(double Got, double Want, double Scale,
+                     uint64_t MaxUlps);
 
 } // namespace check
 } // namespace eco

@@ -623,17 +623,11 @@ bool overflowed(double V) {
   return !std::isfinite(V) || std::abs(V) > 1e100;
 }
 
-/// Element-wise ulp comparison across all original arrays; returns a
-/// description of the first offending element, or nullopt.
-///
-/// Besides the ulp bound, an element passes if its absolute error is
-/// tiny relative to the largest magnitude in the array. Permuting two
-/// reduction dimensions legitimately reorders additions, and when the
-/// accumulated terms span magnitudes the drift can reach a few hundred
-/// ulps of a near-zero result — semantically fine, and categorically
-/// different from real miscompiles, which we have only ever observed at
-/// >= 1e14 ulps (wrong cells entirely). 1e-9 relative is ~1e6 times
-/// looser than reassociation noise and ~1e5 times tighter than any bug.
+/// Element-wise comparison across all original arrays under the shared
+/// differential tolerance (withinTolerance, scaled by the array's largest
+/// non-overflowed magnitude); returns a description of the first
+/// offending element, or nullopt. Permuting two reduction dimensions
+/// legitimately reorders additions, which the magnitude term absorbs.
 std::optional<std::string>
 compareArrays(const std::vector<std::vector<double>> &Got,
               const std::vector<std::vector<double>> &Want,
@@ -649,13 +643,12 @@ compareArrays(const std::vector<std::vector<double>> &Got,
     for (size_t X = 0; X < Want[A].size(); ++X) {
       if (overflowed(Got[A][X]) && overflowed(Want[A][X]))
         continue;
-      uint64_t U = ulpDiff(Got[A][X], Want[A][X]);
-      if (U > MaxUlps &&
-          std::abs(Got[A][X] - Want[A][X]) > 1e-9 * Mag)
+      if (!withinTolerance(Got[A][X], Want[A][X], Mag, MaxUlps))
         return strformat("array %zu idx %zu: got %.17g want %.17g "
                          "(%llu ulps)",
                          A, X, Got[A][X], Want[A][X],
-                         (unsigned long long)U);
+                         (unsigned long long)ulpDiff(Got[A][X],
+                                                     Want[A][X]));
     }
   }
   return std::nullopt;

@@ -85,12 +85,8 @@ EvalEngine::EvalEngine(EvalBackend &Backend, EngineOptions EOpts)
 
   if (!Opts.CacheFile.empty())
     CachePtr->load(Opts.CacheFile, MachineHash);
-  if (!Opts.TraceFile.empty())
-    Trace.openFile(Opts.TraceFile, Opts.TraceAppend);
   ECO_LOG(Info) << "engine ready: jobs=" << Jobs << " cache="
-                << (Opts.CacheFile.empty() ? "<none>" : Opts.CacheFile)
-                << " trace="
-                << (Opts.TraceFile.empty() ? "<none>" : Opts.TraceFile);
+                << (Opts.CacheFile.empty() ? "<none>" : Opts.CacheFile);
 }
 
 EvalEngine::~EvalEngine() { flush(); }
@@ -101,7 +97,6 @@ void EvalEngine::flush() {
     MutexLock SaveLock(SaveMutex);
     CachePtr->save(Opts.CacheFile);
   }
-  Trace.flush();
 }
 
 const EvalEngine::Instantiation &
@@ -138,7 +133,6 @@ EvalKey EvalEngine::keyFor(const DerivedVariant &V,
 EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
                                 const std::string &Stage, int Lane,
                                 bool Warm) {
-  double StartMs = static_cast<double>(obs::monotonicMicros()) / 1e3;
   const Instantiation *InstPtr = nullptr;
   try {
     InstPtr = &instantiated(V, Config);
@@ -179,7 +173,6 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
     {
       MutexLock Lock(StatsMutex);
       ++Stats.CacheHits;
-      ++Stages[Stage].CacheHits;
       StageTelemetry &Row = VariantStages[{V.Spec.Name, Stage}];
       Row.Variant = V.Spec.Name;
       Row.Stage = Stage;
@@ -189,8 +182,6 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
       mirrorToMetrics(V.Spec.Name, Stage, /*CacheHit=*/true, 0, nullptr);
     if (obs::eventsEnabled())
       publishEvaluated(V, Config, Stage, O, Warm);
-    Trace.append({0, StartMs, V.Spec.Name, Stage, V.configString(Config),
-                  O.Cost, /*CacheHit=*/true, Warm, 0, Lane});
     return O;
   }
 
@@ -223,9 +214,6 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
     MutexLock Lock(StatsMutex);
     ++Stats.Evaluations;
     Stats.BackendSeconds += O.Millis / 1e3;
-    StageStats &SS = Stages[Stage];
-    ++SS.Evaluations;
-    SS.BackendSeconds += O.Millis / 1e3;
     StageTelemetry &Row = VariantStages[{V.Spec.Name, Stage}];
     Row.Variant = V.Spec.Name;
     Row.Stage = Stage;
@@ -255,8 +243,6 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
       SaveMutex.unlock();
     }
   }
-  Trace.append({0, StartMs, V.Spec.Name, Stage, V.configString(Config),
-                O.Cost, /*CacheHit=*/false, Warm, O.Millis, Lane});
   return O;
 }
 
@@ -340,6 +326,13 @@ EvalStats EvalEngine::stats() const {
 
 std::map<std::string, EvalEngine::StageStats> EvalEngine::stageStats() const {
   MutexLock Lock(StatsMutex);
+  std::map<std::string, StageStats> Stages;
+  for (const auto &[Key, Row] : VariantStages) {
+    StageStats &SS = Stages[Row.Stage];
+    SS.Evaluations += Row.Evaluations;
+    SS.CacheHits += Row.CacheHits;
+    SS.BackendSeconds += Row.BackendSeconds;
+  }
   return Stages;
 }
 

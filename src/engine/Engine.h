@@ -13,9 +13,11 @@
 ///    concurrently, one simulator instance per lane;
 ///  * an EvalCache memoizing every completed evaluation under a stable
 ///    (nest, machine, config) key, optionally persisted to JSON so
-///    repeated points are free within a tune and across re-runs;
-///  * a TraceLog recording every point (stage, config, cost, cache-hit,
-///    wall time, lane) as JSONL.
+///    repeated points are free within a tune and across re-runs.
+///
+/// Every point it serves (stage, config, cost, cache-hit, wall time,
+/// lane) is published as a config.evaluated event on the flight
+/// recorder (obs/Event.h) when events are enabled.
 ///
 /// Determinism: the search's accept/reject decisions happen on the
 /// calling thread in the original sequential order; parallelism only
@@ -32,7 +34,6 @@
 #include "core/Search.h"
 #include "engine/EvalCache.h"
 #include "engine/ThreadPool.h"
-#include "engine/TraceLog.h"
 #include "exec/Run.h"
 
 #include "support/Sync.h"
@@ -59,17 +60,11 @@ struct RemotePoint {
 
 /// Engine construction knobs (the eco_cli flags map onto these).
 struct EngineOptions {
-  /// Total parallelism; 1 = sequential (still memoizing + tracing).
+  /// Total parallelism; 1 = sequential (still memoizing).
   int Jobs = 1;
   /// When set, the cache loads from this JSON file at construction and
   /// saves to it on flush()/destruction and periodically while running.
   std::string CacheFile;
-  /// When set, every evaluation streams to this JSONL file.
-  std::string TraceFile;
-  /// Open TraceFile in append mode instead of truncating — the resume
-  /// path's setting, so a resumed tune extends the killed run's trace
-  /// instead of clobbering it.
-  bool TraceAppend = false;
   /// Inserts between periodic cache saves when CacheFile is set; 0
   /// disables periodic saving (flush/destructor still save). The
   /// default is small because a guided tune evaluates only tens of
@@ -98,7 +93,7 @@ struct EngineOptions {
   std::function<bool()> RemoteWarmGate;
 };
 
-/// The parallel, memoizing, tracing Evaluator.
+/// The parallel, memoizing Evaluator.
 class EvalEngine : public Evaluator {
 public:
   /// \p Backend must outlive the engine. With Jobs > 1 the backend
@@ -122,7 +117,8 @@ public:
   /// hits each search stage requested and how much backend wall time it
   /// consumed. Keyed by the Stage string the search passes to evaluate()
   /// ("initial", "register", "tile0", ..., "prefetch", "adjust", and the
-  /// Tuner's "rank"). Values sum to stats() across stages.
+  /// Tuner's "rank"). Values sum to stats() across stages; derived from
+  /// telemetry() summed per stage.
   struct StageStats {
     size_t Evaluations = 0;
     size_t CacheHits = 0;
@@ -133,19 +129,16 @@ public:
   /// Per-(variant, stage) telemetry: evaluation/cache-hit counts, summed
   /// backend wall time, and — when the backend exposes hwCounters() —
   /// the summed hardware-counter deltas of every real evaluation in that
-  /// bucket. Rows are sorted by (variant, stage); counts sum to stats()
-  /// and, aggregated per stage, reproduce stageStats().
+  /// bucket. Rows are sorted by (variant, stage); counts sum to stats().
   std::vector<StageTelemetry> telemetry() const override;
 
   /// Effective parallelism after backend-clonability degradation.
   int jobs() const { return Pool->jobs(); }
 
   EvalCache &cache() { return *CachePtr; }
-  const TraceLog &trace() const { return Trace; }
-  TraceLog &trace() { return Trace; }
 
-  /// Saves the cache file (when configured) and flushes the trace
-  /// stream. Called from the destructor; call earlier for durability.
+  /// Saves the cache file (when configured). Called from the destructor;
+  /// call earlier for durability.
   void flush();
 
 private:
@@ -164,7 +157,7 @@ private:
                  const Env &Config) const;
 
   /// Cache-or-evaluate one point on \p Lane; returns the outcome and
-  /// appends a trace record. \p Warm marks speculative batch work.
+  /// publishes its event. \p Warm marks speculative batch work.
   EvalOutcome evalOne(const DerivedVariant &V, const Env &Config,
                       const std::string &Stage, int Lane, bool Warm);
 
@@ -176,7 +169,6 @@ private:
   std::vector<std::unique_ptr<EvalBackend>> LaneBackends;
 
   std::shared_ptr<EvalCache> CachePtr; ///< Opts.SharedCache or private
-  TraceLog Trace;
   uint64_t MachineHash = 0;
 
   mutable Mutex InstMutex{"engine.inst"};
@@ -187,8 +179,7 @@ private:
 
   mutable Mutex StatsMutex{"engine.stats"};
   EvalStats Stats ECO_GUARDED_BY(StatsMutex);
-  std::map<std::string, StageStats> Stages ECO_GUARDED_BY(StatsMutex);
-  /// (variant, stage) -> telemetry row.
+  /// (variant, stage) -> telemetry row; the one per-stage ledger.
   std::map<std::pair<std::string, std::string>, StageTelemetry>
       VariantStages ECO_GUARDED_BY(StatsMutex);
   size_t InsertsSinceSave ECO_GUARDED_BY(StatsMutex) = 0;

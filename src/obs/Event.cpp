@@ -6,6 +6,7 @@
 #include "obs/Metrics.h"
 
 #include <atomic>
+#include <utility>
 
 using namespace eco;
 using namespace eco::obs;
@@ -137,6 +138,12 @@ void EventBus::flush() {
   MutexLock Lock(M);
   if (File)
     fflush(File);
+}
+
+FILE *EventBus::exchangeFile(FILE *F) {
+  MutexLock Lock(M);
+  std::swap(File, F);
+  return F;
 }
 
 void EventBus::clear() {

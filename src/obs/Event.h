@@ -112,6 +112,11 @@ public:
   bool openFile(const std::string &Path, bool Append = false);
   void closeFile();
   void flush();
+  /// Installs \p F as the JSONL sink and returns the one it replaces;
+  /// neither is opened or closed here. Lets a caller divert the stream
+  /// into a file of its own for a while, then hand the original sink
+  /// back untouched.
+  FILE *exchangeFile(FILE *F);
 
   /// Drops ring contents and zeroes counters (sequence numbers keep
   /// rising so files with multiple segments stay strictly ordered).

@@ -41,8 +41,8 @@ enum class LogLevel { Off = 0, Error, Warn, Info, Debug };
 
 /// Microseconds elapsed since the process-wide observability epoch (a
 /// monotonic clock captured on first use). Shared by log timestamps,
-/// span start times, and TraceRecord::TimeMs so all three artifacts
-/// align on one timeline.
+/// span start times, and event timestamps so all three artifacts align
+/// on one timeline.
 uint64_t monotonicMicros();
 
 /// The active level (relaxed atomic read — safe from any thread).

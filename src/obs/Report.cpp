@@ -176,7 +176,8 @@ FlightAnalysis obs::analyzeEvents(const std::vector<Event> &Events) {
   };
   std::map<uint64_t, OpenTune> Open;
 
-  for (const Event &E : Events) {
+  for (size_t I = 0; I < Events.size(); ++I) {
+    const Event &E = Events[I];
     if (E.Type == "tune.start") {
       if (Open.count(E.Job)) {
         // Previous window never closed (crash / truncation): flush it.
@@ -205,6 +206,8 @@ FlightAnalysis obs::analyzeEvents(const std::vector<Event> &Events) {
       Open.erase(It);
       continue;
     }
+    if (E.Type == "config.evaluated")
+      It->second.Data.EvaluatedAt.push_back(I);
     fold(It->second.Data, E, It->second.Lat);
   }
   for (auto &[Job, T] : Open) {

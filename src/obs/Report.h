@@ -80,6 +80,10 @@ struct TuneReportData {
   /// Raw stage.telemetry field objects, in publication order.
   std::vector<Json> Telemetry;
 
+  /// Positions of this window's config.evaluated events in the analyzed
+  /// stream, in order — the per-window view the event audit replays.
+  std::vector<size_t> EvaluatedAt;
+
   bool WarmSeeded = false;
   bool WarmReverted = false;
   Json WarmSeed;                ///< fields of warmstart.seeded

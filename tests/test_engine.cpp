@@ -2,13 +2,14 @@
 //
 // Covers the eco::engine subsystem: ThreadPool batch semantics, EvalCache
 // memoization + JSON persistence, the determinism contract (a --jobs N
-// tune returns the bit-identical winner of a sequential tune), trace
-// logging, checkpoint kill/resume, and the stats-based accounting the
-// Tuner now reports. Runs under ThreadSanitizer via -DECO_SANITIZE=thread
-// (ctest -L engine).
+// tune returns the bit-identical winner of a sequential tune), checkpoint
+// kill/resume (including the resumed CLI appending to its events file),
+// and the stats-based accounting the Tuner now reports. Runs under
+// ThreadSanitizer via -DECO_SANITIZE=thread (ctest -L engine).
 //
 //===----------------------------------------------------------------------===//
 
+#include "check/EventAudit.h"
 #include "core/Tuner.h"
 #include "engine/Checkpoint.h"
 #include "engine/Engine.h"
@@ -31,6 +32,18 @@
 #include <thread>
 #include <tuple>
 
+#include <fcntl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#if defined(__SANITIZE_THREAD__)
+#define ECO_UNDER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define ECO_UNDER_TSAN 1
+#endif
+#endif
+
 using namespace eco;
 
 namespace {
@@ -39,6 +52,52 @@ MachineDesc sgiScaled() { return MachineDesc::sgiR10000().scaledBy(16); }
 
 std::string tempPath(const std::string &Name) {
   return ::testing::TempDir() + Name;
+}
+
+/// Path of an example binary next to this test's tree:
+/// build/tests/test_engine -> build/examples/<Name>.
+std::string siblingExample(const std::string &Name) {
+  char Exe[4096];
+  ssize_t Len = ::readlink("/proc/self/exe", Exe, sizeof(Exe) - 1);
+  if (Len <= 0)
+    return Name;
+  std::string Dir(Exe, static_cast<size_t>(Len));
+  Dir = Dir.substr(0, Dir.find_last_of('/'));
+  Dir = Dir.substr(0, Dir.find_last_of('/'));
+  return Dir + "/examples/" + Name;
+}
+
+/// Runs \p Exe with \p Args (stdout discarded) and returns its exit
+/// status, or -1 when it could not run or died on a signal.
+int runProgram(const std::string &Exe, const std::vector<std::string> &Args) {
+  std::vector<char *> Argv = {const_cast<char *>(Exe.c_str())};
+  for (const std::string &A : Args)
+    Argv.push_back(const_cast<char *>(A.c_str()));
+  Argv.push_back(nullptr);
+  pid_t Pid = ::fork();
+  if (Pid < 0)
+    return -1;
+  if (Pid == 0) {
+    int Null = ::open("/dev/null", O_WRONLY);
+    if (Null >= 0)
+      ::dup2(Null, STDOUT_FILENO);
+    ::execv(Exe.c_str(), Argv.data());
+    ::_exit(127);
+  }
+  int Status = 0;
+  if (::waitpid(Pid, &Status, 0) != Pid || !WIFEXITED(Status))
+    return -1;
+  return WEXITSTATUS(Status);
+}
+
+std::vector<std::string> readLines(const std::string &Path) {
+  std::vector<std::string> Lines;
+  std::ifstream In(Path);
+  std::string Line;
+  while (std::getline(In, Line))
+    if (!Line.empty())
+      Lines.push_back(Line);
+  return Lines;
 }
 
 /// The three fields that define a tune's outcome, as comparable text.
@@ -322,152 +381,45 @@ TEST(EngineTest, CacheSaltSeparatesBackends) {
   EXPECT_NE(Plain.cacheSalt(), Multi.cacheSalt());
 }
 
-// ---- Trace logging ------------------------------------------------------
+// ---- Resume keeps the flight record -------------------------------------
 
-TEST(EngineTest, TraceFileIsParseableJsonl) {
-  std::string Path = tempPath("eco_engine_trace.jsonl");
-  std::remove(Path.c_str());
-  LoopNest MM = makeMatMul();
-  MachineDesc M = sgiScaled();
-  SimEvalBackend Backend(M);
-  EngineOptions Opts;
-  Opts.Jobs = 2;
-  Opts.TraceFile = Path;
-  EvalEngine Engine(Backend, Opts);
-  tune(MM, Engine, {{"N", 64}});
-  Engine.flush();
+TEST(EngineTest, ResumedTuneAppendsEventsInsteadOfClobbering) {
+#ifdef ECO_UNDER_TSAN
+  GTEST_SKIP() << "fork/exec of eco_cli is not meaningful under TSan";
+#else
+  // The --resume flow end to end: eco_cli runs twice onto the same
+  // --checkpoint and --events-file. The resumed process must append a new
+  // seq=0 segment after the first run's events, not truncate them.
+  std::string Cli = siblingExample("eco_cli");
+  if (::access(Cli.c_str(), X_OK) != 0)
+    GTEST_SKIP() << "eco_cli not built at " << Cli;
+  std::string Events = tempPath("eco_resume_events.jsonl");
+  std::string Ckpt = tempPath("eco_resume_ckpt.json");
+  std::remove(Events.c_str());
+  std::remove(Ckpt.c_str());
 
-  size_t Lines = 0;
-  std::ifstream In(Path);
-  ASSERT_TRUE(In.good());
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (Line.empty())
-      continue;
-    ++Lines;
-    std::string Err;
-    Json Rec = Json::parse(Line, &Err);
-    ASSERT_TRUE(Err.empty()) << Err << " in: " << Line;
-    EXPECT_TRUE(Rec.has("seq"));
-    EXPECT_TRUE(Rec.has("t_ms"));
-    EXPECT_TRUE(Rec.has("variant"));
-    EXPECT_TRUE(Rec.has("stage"));
-    EXPECT_TRUE(Rec.has("config"));
-    EXPECT_TRUE(Rec.has("cost"));
-    EXPECT_TRUE(Rec.has("cacheHit"));
-    EXPECT_TRUE(Rec.has("ms"));
-    EXPECT_TRUE(Rec.has("lane"));
-  }
-  EXPECT_EQ(Lines, Engine.trace().numRecords());
-  EXPECT_GT(Lines, 0u);
-  std::remove(Path.c_str());
-}
+  std::vector<std::string> Args = {"--kernel=matmul", "--n=48",
+                                   "--scale=16",      "--jobs=2",
+                                   "--checkpoint=" + Ckpt,
+                                   "--events-file=" + Events};
+  ASSERT_EQ(runProgram(Cli, Args), 0);
+  std::vector<std::string> First = readLines(Events);
+  ASSERT_FALSE(First.empty());
 
-TEST(EngineTest, TraceRecordsCarryMonotonicStartTimes) {
-  LoopNest MM = makeMatMul();
-  MachineDesc M = sgiScaled();
-  SimEvalBackend Backend(M);
-  EvalEngine Engine(Backend);
-  tune(MM, Engine, {{"N", 64}});
+  Args.push_back("--resume");
+  ASSERT_EQ(runProgram(Cli, Args), 0);
+  std::vector<std::string> All = readLines(Events);
+  ASSERT_GT(All.size(), First.size());
+  EXPECT_TRUE(std::equal(First.begin(), First.end(), All.begin()))
+      << "the first run's segment was rewritten";
 
-  std::vector<TraceRecord> Recs = Engine.trace().records();
-  ASSERT_FALSE(Recs.empty());
-  for (const TraceRecord &R : Recs)
-    EXPECT_GT(R.TimeMs, 0.0); // append() stamps the obs clock
-  // Sequential evaluation: completion order == issue order, so the
-  // stamped start times are non-decreasing.
-  for (size_t I = 1; I < Recs.size(); ++I)
-    EXPECT_GE(Recs[I].TimeMs, Recs[I - 1].TimeMs);
-}
-
-TEST(TraceLogTest, ExplicitTimeMsIsPreserved) {
-  TraceLog Log;
-  Log.append({0, 1234.5, "v1", "register", "TI=8", 10.0, false, false,
-              2.0, 1});
-  Log.append({0, 0, "v1", "register", "TI=16", 11.0, false, false, 2.0,
-              1}); // 0 means "stamp now"
-  std::vector<TraceRecord> Recs = Log.records();
-  ASSERT_EQ(Recs.size(), 2u);
-  EXPECT_DOUBLE_EQ(Recs[0].TimeMs, 1234.5);
-  EXPECT_GT(Recs[1].TimeMs, 0.0);
-
-  std::string Err;
-  Json J = Json::parse(traceRecordJson(Recs[0]), &Err);
-  ASSERT_TRUE(Err.empty()) << Err;
-  EXPECT_DOUBLE_EQ(J.get("t_ms").asNumber(), 1234.5);
-}
-
-TEST(TraceLogTest, AppendModeKeepsExistingRecords) {
-  std::string Path = tempPath("eco_trace_append.jsonl");
-  std::remove(Path.c_str());
-  {
-    TraceLog First;
-    ASSERT_TRUE(First.openFile(Path));
-    First.append({0, 0, "v1", "initial", "TI=8", 1.0, false, false, 1.0,
-                  0});
-    First.flush();
-  } // killed run's stream closes here
-  {
-    TraceLog Resumed;
-    ASSERT_TRUE(Resumed.openFile(Path, /*Append=*/true));
-    Resumed.append({0, 0, "v2", "register", "TI=16", 2.0, false, false,
-                    1.0, 0});
-    Resumed.flush();
-  }
-
-  std::ifstream In(Path);
-  std::vector<std::string> Lines;
-  std::string Line;
-  while (std::getline(In, Line))
-    if (!Line.empty())
-      Lines.push_back(Line);
-  ASSERT_EQ(Lines.size(), 2u); // pre-kill record survived
-  std::string Err;
-  EXPECT_EQ(Json::parse(Lines[0], &Err).get("variant").asString(), "v1");
-  EXPECT_EQ(Json::parse(Lines[1], &Err).get("variant").asString(), "v2");
-  std::remove(Path.c_str());
-}
-
-TEST(EngineTest, ResumedTuneAppendsTraceInsteadOfClobbering) {
-  // The --resume flow: a first (killed) tune streams trace records; the
-  // resumed engine opens the same file with TraceAppend and must extend
-  // it, not truncate it.
-  std::string Path = tempPath("eco_trace_resume.jsonl");
-  std::remove(Path.c_str());
-  LoopNest MM = makeMatMul();
-  const ParamBindings Problem = {{"N", 64}};
-  MachineDesc M = sgiScaled();
-
-  size_t FirstLines;
-  {
-    SimEvalBackend Backend(M);
-    EngineOptions Opts;
-    Opts.TraceFile = Path;
-    EvalEngine Engine(Backend, Opts);
-    tune(MM, Engine, Problem);
-    Engine.flush();
-    FirstLines = Engine.trace().numRecords();
-    ASSERT_GT(FirstLines, 0u);
-  }
-
-  {
-    SimEvalBackend Backend(M);
-    EngineOptions Opts;
-    Opts.TraceFile = Path;
-    Opts.TraceAppend = true; // what --resume sets
-    EvalEngine Engine(Backend, Opts);
-    tune(MM, Engine, Problem);
-    Engine.flush();
-  }
-
-  size_t TotalLines = 0;
-  std::ifstream In(Path);
-  std::string Line;
-  while (std::getline(In, Line))
-    if (!Line.empty())
-      ++TotalLines;
-  EXPECT_GT(TotalLines, FirstLines); // old records still there
-  std::remove(Path.c_str());
+  check::EventAuditReport Report = check::auditEventsFile(Events);
+  EXPECT_EQ(Report.Segments, 2u);
+  EXPECT_EQ(Report.Tunes, 2u);
+  EXPECT_TRUE(Report.ok()) << Report.summary();
+  std::remove(Events.c_str());
+  std::remove(Ckpt.c_str());
+#endif
 }
 
 // ---- Telemetry ----------------------------------------------------------

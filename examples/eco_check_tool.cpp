@@ -11,9 +11,10 @@
 //            bit-identical and both event streams must pass the
 //            invariant audit (dense seqs, consistent costs, ordered
 //            stages, stream minimum == reported best)
-//   faults   truncated / corrupted / concurrently rewritten cache and
-//            checkpoint files: loaders must recover, never crash, never
-//            silently resurrect damaged state
+//   faults   truncated / corrupted / concurrently rewritten cache
+//            files: loaders must recover, never crash, never silently
+//            resurrect damaged state, and a tune resumed from a damaged
+//            cache must reproduce the cold run's winner
 //
 //   eco_check [--kernel=all|matmul|jacobi|matvec] [--seed=S] [--configs=N]
 //             [--n=SIZE] [--scale=K] [--max-ulps=U] [--max-variants=V]

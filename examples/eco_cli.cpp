@@ -5,7 +5,7 @@
 //   eco_cli [--kernel=matmul|jacobi|matvec] [--machine=sgi|sun|host]
 //           [--n=SIZE] [--scale=K] [--native] [--emit-c] [--variants]
 //           [--trace] [--jobs=N] [--cache-file=F]
-//           [--checkpoint=F] [--resume] [--metrics-file=F]
+//           [--resume] [--metrics-file=F]
 //           [--chrome-trace=F] [--events-file=F]
 //           [--log-level=LVL] [--progress]
 //   eco_cli report EVENTS.jsonl [--html] [--out=F]
@@ -16,10 +16,10 @@
 //   --trace        dump every evaluated search point (CSV: config,cost)
 //   --jobs=N       evaluate candidate batches on N threads (engine)
 //   --cache-file=F persist the evaluation cache to F (JSON); re-runs on
-//                  identical input replay from it nearly for free
-//   --checkpoint=F write per-variant tune state to F after each search
-//   --resume       load --checkpoint (and --cache-file) state and skip
-//                  already-searched variants (--events-file appends)
+//                  identical input replay from it nearly for free, and a
+//                  killed tune rerun on the same F resumes from it
+//   --resume       resume a killed tune: requires --cache-file, and
+//                  --events-file appends a segment instead of truncating
 //   --metrics-file=F  dump the metrics registry (counters/gauges/
 //                  histograms) to F as JSON after the tune
 //   --chrome-trace=F  export the tune's span timeline to F in Chrome
@@ -41,7 +41,6 @@
 #include "codegen/CEmitter.h"
 #include "core/Report.h"
 #include "core/Tuner.h"
-#include "engine/Checkpoint.h"
 #include "engine/Engine.h"
 #include "exec/Run.h"
 #include "kernels/Kernels.h"
@@ -84,7 +83,6 @@ struct CliOptions {
   bool Report = false;
   int Jobs = 1;
   std::string CacheFile;
-  std::string CheckpointFile;
   bool Resume = false;
   std::string MetricsFile;
   std::string ChromeTracePath;
@@ -246,10 +244,6 @@ bool parseArg(CliOptions &Opts, const std::string &Arg) {
     Opts.CacheFile = V;
     return !Opts.CacheFile.empty();
   }
-  if (const char *V = valueOf("--checkpoint=")) {
-    Opts.CheckpointFile = V;
-    return !Opts.CheckpointFile.empty();
-  }
   if (const char *V = valueOf("--metrics-file=")) {
     Opts.MetricsFile = V;
     return !Opts.MetricsFile.empty();
@@ -315,25 +309,29 @@ int main(int Argc, char **Argv) {
     return reportToolMain(std::vector<std::string>(Argv + 2, Argv + Argc));
 
   CliOptions Opts;
-  for (int A = 1; A < Argc; ++A) {
-    if (!parseArg(Opts, Argv[A])) {
-      std::fprintf(stderr,
-                   "usage: %s [--kernel=matmul|jacobi|matvec] "
-                   "[--machine=sgi|sun|host] [--n=SIZE] [--scale=K] "
-                   "[--native] [--emit-c] [--variants] [--trace] "
-                   "[--report] [--jobs=N] [--cache-file=F] "
-                   "[--checkpoint=F] [--resume] "
-                   "[--metrics-file=F] [--chrome-trace=F] "
-                   "[--events-file=F] "
-                   "[--log-level=off|error|warn|info|debug] "
-                   "[--progress]\n       %s report EVENTS.jsonl "
-                   "[--html] [--out=F]\n",
-                   Argv[0], Argv[0]);
-      return 2;
-    }
+  bool Usage = false;
+  for (int A = 1; A < Argc && !Usage; ++A)
+    Usage = !parseArg(Opts, Argv[A]);
+  // A killed tune resumes from its evaluation cache alone: without one
+  // there is nothing to resume from.
+  if (!Usage && Opts.Resume && Opts.CacheFile.empty()) {
+    std::fprintf(stderr, "error: --resume requires --cache-file\n");
+    Usage = true;
   }
-  if (Opts.Resume && Opts.CheckpointFile.empty())
-    Opts.CheckpointFile = "eco_checkpoint.json";
+  if (Usage) {
+    std::fprintf(stderr,
+                 "usage: %s [--kernel=matmul|jacobi|matvec] "
+                 "[--machine=sgi|sun|host] [--n=SIZE] [--scale=K] "
+                 "[--native] [--emit-c] [--variants] [--trace] "
+                 "[--report] [--jobs=N] [--cache-file=F] [--resume] "
+                 "[--metrics-file=F] [--chrome-trace=F] "
+                 "[--events-file=F] "
+                 "[--log-level=off|error|warn|info|debug] "
+                 "[--progress]\n       %s report EVENTS.jsonl "
+                 "[--html] [--out=F]\n",
+                 Argv[0], Argv[0]);
+    return 2;
+  }
 
   // Observability: metrics feed --metrics-file and the --progress
   // reporter; spans feed --chrome-trace. Both default off (zero cost).
@@ -396,8 +394,9 @@ int main(int Argc, char **Argv) {
                   : static_cast<EvalBackend &>(SimBackend);
 
   // Everything runs through the engine: --jobs controls parallelism,
-  // --cache-file persistence. The chosen configuration is identical for
-  // every --jobs value.
+  // --cache-file persistence (and so resume: the search replays its
+  // decisions against the cached costs). The chosen configuration is
+  // identical for every --jobs value.
   EngineOptions EOpts;
   EOpts.Jobs = Opts.Jobs;
   EOpts.CacheFile = Opts.CacheFile;
@@ -408,23 +407,16 @@ int main(int Argc, char **Argv) {
                  "job\n");
 
   ParamBindings Problem = {{"N", Opts.N}};
-  TuneOptions TOpts;
-  std::unique_ptr<TuneCheckpoint> Ckpt;
-  if (!Opts.CheckpointFile.empty()) {
-    Ckpt = std::make_unique<TuneCheckpoint>(Opts.CheckpointFile, Nest,
-                                            Machine, Problem, Opts.Resume);
-    Ckpt->installHooks(TOpts);
-    if (Opts.Resume && Ckpt->numLoaded() > 0)
-      std::printf("resuming: %zu variant(s) restored from %s\n",
-                  Ckpt->numLoaded(), Opts.CheckpointFile.c_str());
-  }
+  if (Opts.Resume)
+    std::printf("resuming: %zu cached evaluation(s) in %s\n",
+                Engine.cache().size(), Opts.CacheFile.c_str());
 
   TuneResult R;
   {
     std::unique_ptr<ProgressReporter> Progress;
     if (Opts.Progress)
       Progress = std::make_unique<ProgressReporter>();
-    R = tune(Nest, Engine, Problem, TOpts);
+    R = tune(Nest, Engine, Problem);
   }
   Engine.flush();
 
@@ -455,11 +447,6 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "error: tuning produced no feasible variant\n");
     return 1;
   }
-  // The tune ran to completion: stamp the checkpoint clean so a later
-  // --resume knows it restores a full variant set, not a partial one.
-  if (Ckpt && !R.Cancelled)
-    Ckpt->markComplete();
-
   if (Opts.Report) {
     ReportOptions ROpts;
     ROpts.CostUnit = Opts.Native ? "seconds" : "cycles";
@@ -479,10 +466,9 @@ int main(int Argc, char **Argv) {
     std::printf("  %-4s heuristic %.3g %s\n", S.Name.c_str(),
                 S.HeuristicCost,
                 S.Searched
-                    ? strformat("-> best %.3g after %zu points (%s)%s",
+                    ? strformat("-> best %.3g after %zu points (%s)",
                                 S.BestCost, S.Points,
-                                S.BestConfig.c_str(),
-                                S.Restored ? " [restored]" : "")
+                                S.BestConfig.c_str())
                           .c_str()
                     : "(pruned by model ranking)");
   std::printf("\nwinner: %s  cost %.6g %s\n",

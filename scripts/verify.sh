@@ -54,18 +54,19 @@ step "fuzz smoke: eco_fuzz --iters=200 --seed=7"
 "$REPO/build/examples/eco_fuzz" --iters=200 --seed=7
 
 step "flight-recorder smoke: tune -> resume -> report -> audit-events"
-# The resumed run must append a second segment to the same events file;
-# the audit then checks both segments' windows.
+# The resumed run replays from the cache file and must append a second
+# segment to the same events file; the audit then checks both segments'
+# windows.
 EV="$REPO/build/verify_events.jsonl"
-CK="$REPO/build/verify_checkpoint.json"
-rm -f "$EV" "$CK"
+CF="$REPO/build/verify_cache.json"
+rm -f "$EV" "$CF"
 for RESUME in "" --resume; do
   "$REPO/build/examples/eco_cli" --kernel=matmul --n=48 --scale=16 \
-      --jobs=2 --checkpoint="$CK" --events-file="$EV" $RESUME > /dev/null
+      --jobs=2 --cache-file="$CF" --events-file="$EV" $RESUME > /dev/null
 done
 "$REPO/build/examples/eco_cli" report "$EV" > /dev/null
 "$REPO/build/examples/eco_check" --audit-events="$EV"
-rm -f "$CK"
+rm -f "$CF"
 
 step "fleet smoke: daemon + 2 eco_worker, SIGKILL one mid-tune"
 FSOCK="$REPO/build/verify_fleet.sock"

@@ -103,10 +103,12 @@ void auditWindow(const std::vector<obs::Event> &Segment,
     const obs::Event &E = Segment[At];
     const std::string &Variant = E.Fields.get("variant").asString();
     const std::string &Stage = E.Fields.get("stage").asString();
-    double Cost = E.Fields.get("cost").asNumber();
-
-    // NaN or negative can only come from a broken backend or a
+    // A missing or non-number cost (Json writes NaN as null) reads as
+    // NaN. NaN or negative can only come from a broken backend or a
     // corrupted line.
+    double Cost = E.Fields.get("cost").asNumber(
+        std::numeric_limits<double>::quiet_NaN());
+
     if (std::isnan(Cost) || Cost < 0)
       Issue("bad-cost", E.Seq,
             strformat("variant %s stage %s cost %g", Variant.c_str(),

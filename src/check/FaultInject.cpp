@@ -2,7 +2,6 @@
 
 #include "check/FaultInject.h"
 #include "core/Tuner.h"
-#include "engine/Checkpoint.h"
 #include "engine/Engine.h"
 #include "engine/EvalCache.h"
 #include "kernels/Kernels.h"
@@ -110,8 +109,8 @@ bool copyFile(const std::string &From, const std::string &To) {
   return Out.good();
 }
 
-/// A tiny but real tune used as the checkpoint fixture: matmul at N=16
-/// on a strongly scaled-down machine, two variants searched.
+/// A tiny but real tune used as the resume fixture: matmul at N=16 on a
+/// strongly scaled-down machine, two variants searched.
 struct SmallTune {
   LoopNest Nest;
   MachineDesc Machine = MachineDesc::sgiR10000().scaledBy(64);
@@ -126,9 +125,18 @@ struct SmallTune {
     return R.best().Spec.Name + "|" + R.best().configString(R.BestConfig);
   }
 
-  TuneResult run(TuneOptions TO) {
+  /// Tunes through an engine whose cache persists to \p CacheFile, the
+  /// way a resumed tune runs. \p Loaded receives how many entries the
+  /// engine loaded from the file before the tune.
+  TuneResult run(const std::string &CacheFile, size_t &Loaded) {
     SimEvalBackend Backend(Machine);
-    return tune(Nest, Backend, Problem, TO);
+    EngineOptions EO;
+    EO.CacheFile = CacheFile;
+    EvalEngine Engine(Backend, EO);
+    Loaded = Engine.cache().size();
+    TuneResult R = tune(Nest, Engine, Problem, Opts);
+    Engine.flush();
+    return R;
   }
 };
 
@@ -184,49 +192,48 @@ eco::check::runPersistenceFaultChecks(const std::string &TmpDir) {
       Fail(Scenario, "post-recovery insert did not survive the roundtrip");
   }
 
-  // ---- checkpoint fault matrix -----------------------------------------
-  // A real (small) tune writes a real checkpoint; each damaged copy must
-  // resume as a clean fresh start and re-produce the same winner.
+  // ---- resume-from-damaged-cache matrix ---------------------------------
+  // A real (small) tune writes a real cache file; a tune resumed from
+  // each damaged copy must load nothing, start cold, and reproduce the
+  // baseline winner and cost bitwise.
   SmallTune Fixture;
-  const std::string CkptPath = TmpDir + "/fault_ckpt.json";
-  std::string BaselineWinner;
-  double BaselineCost = 0;
-  {
-    TuneCheckpoint Ckpt(CkptPath, Fixture.Nest, Fixture.Machine,
-                        Fixture.Problem, /*Resume=*/false);
-    TuneOptions TO = Fixture.Opts;
-    Ckpt.installHooks(TO);
-    TuneResult R = Fixture.run(TO);
-    BaselineWinner = Fixture.winner(R);
-    BaselineCost = R.BestCost;
-    if (R.BestVariant < 0)
-      Fail("ckpt:setup", "baseline tune found no variant");
-  }
+  const std::string TuneCachePath = TmpDir + "/fault_tune_cache.json";
+  std::remove(TuneCachePath.c_str());
+  size_t Loaded = 0;
+  TuneResult Baseline = Fixture.run(TuneCachePath, Loaded);
+  const std::string BaselineWinner = Fixture.winner(Baseline);
+  if (Baseline.BestVariant < 0)
+    Fail("resume:setup", "baseline tune found no variant");
+
+  // Tunes from the (damaged) cache file at \p Path and checks the
+  // answer against the baseline and the flushed file's health.
+  auto ResumeMatchesBaseline = [&](const std::string &Scenario,
+                                   const std::string &Path) {
+    TuneResult R = Fixture.run(Path, Loaded);
+    if (Loaded != 0)
+      Fail(Scenario, strformat("damaged cache file loaded %zu entries",
+                               Loaded));
+    if (Fixture.winner(R) != BaselineWinner ||
+        R.BestCost != Baseline.BestCost)
+      Fail(Scenario,
+           strformat("resumed tune diverged: %s (cost %.17g) vs "
+                     "baseline %s (cost %.17g)",
+                     Fixture.winner(R).c_str(), R.BestCost,
+                     BaselineWinner.c_str(), Baseline.BestCost));
+    std::string Error;
+    if (!Json::loadFile(Path, &Error).isObject())
+      Fail(Scenario, "flushed cache file unparseable: " + Error);
+  };
 
   for (Fault F : AllFaults) {
-    std::string Scenario = std::string("ckpt:") + faultName(F);
+    std::string Scenario = std::string("resume:") + faultName(F);
     ++Report.Scenarios;
-    const std::string Target = TmpDir + "/fault_ckpt_inject.json";
-    if (!copyFile(CkptPath, Target) || !injectFault(Target, F)) {
+    const std::string Target = TmpDir + "/fault_tune_cache_inject.json";
+    if (!copyFile(TuneCachePath, Target) || !injectFault(Target, F)) {
       Fail(Scenario, "fault setup failed");
       continue;
     }
-    TuneCheckpoint Resumed(Target, Fixture.Nest, Fixture.Machine,
-                           Fixture.Problem, /*Resume=*/true);
-    if (Resumed.numLoaded() != 0)
-      Fail(Scenario, strformat("damaged checkpoint claimed %zu restored "
-                               "variants",
-                               Resumed.numLoaded()));
-    // The fresh start must still produce the baseline answer.
-    TuneOptions TO = Fixture.Opts;
-    Resumed.installHooks(TO);
-    TuneResult R = Fixture.run(TO);
-    if (Fixture.winner(R) != BaselineWinner || R.BestCost != BaselineCost)
-      Fail(Scenario,
-           strformat("recovered tune diverged: %s (cost %.17g) vs "
-                     "baseline %s (cost %.17g)",
-                     Fixture.winner(R).c_str(), R.BestCost,
-                     BaselineWinner.c_str(), BaselineCost));
+    ResumeMatchesBaseline(Scenario, Target);
   }
 
   // ---- concurrent rewrite ----------------------------------------------
@@ -300,26 +307,14 @@ eco::check::runPersistenceFaultChecks(const std::string &TmpDir) {
   }
 
   // ---- engine-level recovery ---------------------------------------------
-  // An engine pointed at a corrupt cache file must construct, tune to
-  // the cold-run answer, and flush a parseable replacement.
+  // An engine pointed at a cache file that is no JSON document at all
+  // must construct, tune to the cold-run answer, and flush a parseable
+  // replacement.
   {
     ++Report.Scenarios;
     const std::string EnginePath = TmpDir + "/fault_engine_cache.json";
     std::ofstream(EnginePath) << "{\"schema\": \"eco-eval-cache\", [[[";
-    SimEvalBackend Backend(Fixture.Machine);
-    EngineOptions EO;
-    EO.CacheFile = EnginePath;
-    EvalEngine Engine(Backend, EO);
-    TuneResult R = tune(Fixture.Nest, Engine, Fixture.Problem, Fixture.Opts);
-    Engine.flush();
-    if (Fixture.winner(R) != BaselineWinner || R.BestCost != BaselineCost)
-      Fail("engine-corrupt-cache",
-           strformat("tune through corrupt cache diverged: %s vs %s",
-                     Fixture.winner(R).c_str(), BaselineWinner.c_str()));
-    std::string Error;
-    if (!Json::loadFile(EnginePath, &Error).isObject())
-      Fail("engine-corrupt-cache",
-           "flushed cache file unparseable: " + Error);
+    ResumeMatchesBaseline("engine-corrupt-cache", EnginePath);
   }
 
   return Report;

@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Fault injection for the engine's persistent artifacts — the eval-cache
-/// JSON and the tune checkpoint. The contract under attack: a damaged
-/// file must never crash a loader, and must never be silently *wrong* —
-/// the engine warns, starts empty, re-evaluates, and produces the same
-/// answer a cold run would. The injected faults model what a kill or a
+/// Fault injection for the engine's persistent artifact — the eval-cache
+/// JSON, which is also what a killed tune resumes from. The contract
+/// under attack: a damaged file must never crash a loader, and must never
+/// be silently *wrong* — the engine warns, starts empty, re-evaluates,
+/// and produces the same answer a cold run would. The injected faults model what a kill or a
 /// concurrent writer actually leaves behind:
 ///
 ///   Empty          0-byte file (killed before the first write flushed)
@@ -68,9 +68,10 @@ struct FaultCheckReport {
 };
 
 /// Runs the whole persistence fault matrix inside \p TmpDir (which must
-/// exist and be writable): eval-cache faults, checkpoint faults with a
-/// real resumed tune, concurrent save/load hammering, stale-temp-file
-/// tolerance, and engine-level recovery from a corrupt cache file.
+/// exist and be writable): eval-cache faults, a real tune resumed from
+/// each damaged copy of a tune's cache file, concurrent save/load
+/// hammering, stale-temp-file tolerance, and engine-level recovery from
+/// a corrupt cache file.
 FaultCheckReport runPersistenceFaultChecks(const std::string &TmpDir);
 
 /// Runs the remote eval-worker fleet chaos sweep inside \p TmpDir (unix

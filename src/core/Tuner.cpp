@@ -201,9 +201,7 @@ TuneResult eco::tune(const LoopNest &Original, Evaluator &Eval,
     VariantSummary &Sum = Result.Summaries[VI];
 
     VariantSearchResult SR;
-    bool Restored =
-        Opts.TryRestoreVariant && Opts.TryRestoreVariant(V, SR, Sum);
-    if (!Restored) {
+    {
       obs::SpanScope S("search:" + V.Spec.Name, "tune");
       EvalStats Before = Eval.stats();
       Timer SearchTime;
@@ -213,17 +211,10 @@ TuneResult eco::tune(const LoopNest &Original, Evaluator &Eval,
       Sum.CacheHits = After.CacheHits - Before.CacheHits;
       Sum.Infeasible = SR.Infeasible;
       Sum.Seconds = SearchTime.seconds();
-    } else {
-      ECO_LOG(Info) << "variant " << V.Spec.Name
-                    << " restored from checkpoint (cost "
-                    << SR.BestCost << ")";
     }
     Sum.Searched = true;
-    Sum.Restored = Restored;
     Sum.BestCost = SR.BestCost;
     Sum.BestConfig = V.configString(SR.BestConfig);
-    if (!Restored && Opts.OnVariantSearched)
-      Opts.OnVariantSearched(V, SR, Sum);
     if (Metrics)
       obs::metrics().gauge("tune.variants_done").set(
           static_cast<double>(R + 1));
@@ -240,7 +231,6 @@ TuneResult eco::tune(const LoopNest &Original, Evaluator &Eval,
         F.set("variant", V.Spec.Name);
         F.set("config", Sum.BestConfig);
         F.set("cost", SR.BestCost);
-        F.set("restored", Restored);
         obs::publishEvent("winner.updated", std::move(F));
       }
     }
@@ -255,20 +245,14 @@ TuneResult eco::tune(const LoopNest &Original, Evaluator &Eval,
     Result.BestExecutable = Result.Variants[Result.BestVariant].instantiate(
         Result.BestConfig, Eval.machine());
 
-  // Restored variants carry their recorded Points forward; everything
-  // else is the evaluator's own ledger for this tune.
+  // The evaluator's own ledger for this tune. A tune replayed from a
+  // persisted EvalCache counts its replayed points as cache hits.
   EvalStats EndStats = Eval.stats();
   Result.TotalPoints = EndStats.Evaluations - StartStats.Evaluations;
   Result.TotalCacheHits = EndStats.CacheHits - StartStats.CacheHits;
   Result.ConfigsRejected = EndStats.Rejected - StartStats.Rejected;
-  size_t RestoredPoints = 0;
-  for (const VariantSummary &Sum : Result.Summaries) {
-    if (Sum.Restored) {
-      Result.TotalPoints += Sum.Points;
-      RestoredPoints += Sum.Points;
-    }
+  for (const VariantSummary &Sum : Result.Summaries)
     Result.InfeasiblePruned += Sum.Infeasible;
-  }
   Result.TotalSeconds = Total.seconds();
   Result.Telemetry = telemetryDelta(StartTele, Eval.telemetry());
   ECO_LOG(Info) << "tune complete: " << Result.TotalPoints << " points, "
@@ -307,7 +291,6 @@ TuneResult eco::tune(const LoopNest &Original, Evaluator &Eval,
     Json F = Json::object();
     F.set("nest", Original.Name);
     F.set("points", Result.TotalPoints);
-    F.set("restored_points", RestoredPoints);
     F.set("cache_hits", Result.TotalCacheHits);
     F.set("variants_derived", Result.Variants.size());
     size_t Searched = 0;

@@ -39,7 +39,6 @@ struct VariantSummary {
   std::string Name;
   double HeuristicCost = 0; ///< cost at the model's initial configuration
   bool Searched = false;
-  bool Restored = false;    ///< result came from a checkpoint, not a search
   double BestCost = 0;
   std::string BestConfig;
   size_t Points = 0;        ///< backend evaluations (from evaluator stats)
@@ -62,19 +61,6 @@ struct TuneOptions {
   /// cannot prune away the family the seeded configuration belongs to.
   /// Unknown names are ignored.
   std::string PreferVariant;
-
-  /// Checkpoint hooks (installed by engine::TuneCheckpoint; both empty by
-  /// default). TryRestoreVariant returns true when it can supply the
-  /// variant's search result from a previous run, filling \p Result and
-  /// the accounting fields of \p Summary; the tune then skips that
-  /// search. OnVariantSearched fires after each completed search so the
-  /// state survives a kill between variants.
-  std::function<bool(const DerivedVariant &, VariantSearchResult &,
-                     VariantSummary &)>
-      TryRestoreVariant;
-  std::function<void(const DerivedVariant &, const VariantSearchResult &,
-                     const VariantSummary &)>
-      OnVariantSearched;
 
   /// Cooperative cancellation (the serve layer's deadlines and graceful
   /// shutdown): polled before derivation, before each variant search,

@@ -6,6 +6,7 @@
 #include "support/Hash.h"
 #include "support/Json.h"
 
+#include <cmath>
 #include <fstream>
 
 using namespace eco;
@@ -113,7 +114,11 @@ bool EvalCache::save(const std::string &Path) const {
   for (const Shard &S : Shards) {
     MutexLock Lock(S.M);
     for (const auto &[KeyText, Cost] : S.Map)
-      Entries.set(KeyText, Cost);
+      // JSON has no Inf/NaN: Json would write Inf as the finite 1e308,
+      // which a resumed tune would then read back as a feasible cost.
+      // Leave such points out so they are re-evaluated instead.
+      if (std::isfinite(Cost))
+        Entries.set(KeyText, Cost);
   }
   Json Root = Json::object();
   Root.set("version", 1);

@@ -11,10 +11,13 @@
 ///
 ///  * points the search revisits within one tune (shape search backtracks
 ///    constantly) are free,
-///  * a tune re-run on identical input replays from the JSON file at
-///    >90% hit rate (the acceptance bar for --cache-file),
-///  * a killed tune resumed via checkpoint fast-forwards through the
-///    partially searched variant.
+///  * a tune re-run on identical input replays from the JSON file with
+///    no backend evaluation at all,
+///  * a killed tune rerun on the same file resumes: the search replays
+///    its decisions against the cached costs up to where it was killed,
+///    so the winner is bit-identical to an uninterrupted tune. The
+///    engine saves every EngineOptions::CacheSaveInterval inserts, which
+///    bounds the work a kill loses.
 ///
 /// The map is sharded (one mutex per shard) so concurrent workers
 /// publishing results do not serialize on one lock.
@@ -83,7 +86,10 @@ public:
   /// carrying them forward made a wrong file look valid forever.
   size_t load(const std::string &Path, uint64_t RequireMachineHash = 0);
 
-  /// Writes every entry to \p Path as pretty JSON (atomic rename).
+  /// Writes every finite entry to \p Path as pretty JSON (atomic
+  /// rename). Non-finite costs (a failed native compile) are left out,
+  /// so a later load re-evaluates them rather than reading JSON's
+  /// finite stand-in back as a feasible cost.
   bool save(const std::string &Path) const;
 
 private:

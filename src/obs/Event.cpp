@@ -120,10 +120,21 @@ bool EventBus::openFile(const std::string &Path, bool Append) {
     fclose(File);
     File = nullptr;
   }
-  File = fopen(Path.c_str(), Append ? "ab" : "wb");
-  if (!File)
+  File = fopen(Path.c_str(), Append ? "ab+" : "wb");
+  if (!File) {
     ECO_LOG(Error) << "events: cannot open " << Path;
-  return File != nullptr;
+    return false;
+  }
+  // A killed writer can leave a torn last record with no newline; the
+  // appended segment must start on a fresh line, or its first event
+  // (seq 0, which marks the restart) would be lost in the torn line.
+  if (Append && fseek(File, -1, SEEK_END) == 0) {
+    int Last = fgetc(File);
+    fseek(File, 0, SEEK_END);
+    if (Last != '\n')
+      fputc('\n', File);
+  }
+  return true;
 }
 
 void EventBus::closeFile() {

@@ -109,6 +109,8 @@ public:
   uint64_t typeCount(const std::string &Type) const;
 
   /// Opens (or replaces) the JSONL sink. Returns false on I/O failure.
+  /// With \p Append, a file whose last record is torn (no newline) is
+  /// first ended with a newline, so the appended events parse.
   bool openFile(const std::string &Path, bool Append = false);
   void closeFile();
   void flush();

@@ -135,11 +135,7 @@ void finishTune(TuneReportData &T, const Histogram &Lat) {
     return;
   }
   const Json &D = T.Done;
-  // Restored (checkpointed) points were counted by a previous run's
-  // events, not this stream's.
-  checkCount(T, "evaluations",
-             T.Evaluated + doneCount(D, "restored_points"),
-             doneCount(D, "points"));
+  checkCount(T, "evaluations", T.Evaluated, doneCount(D, "points"));
   checkCount(T, "cache hits", T.CacheHits, doneCount(D, "cache_hits"));
   checkCount(T, "variants derived", T.VariantsDerived,
              doneCount(D, "variants_derived"));

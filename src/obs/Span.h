@@ -12,7 +12,7 @@
 /// The process-wide SpanCollector gathers records and exports them as
 /// Chrome trace-event JSON ("X" complete events plus "thread_name"
 /// metadata), so a whole tune — search stages, warm batches, backend
-/// evals, cache and checkpoint writes — renders as a per-lane timeline in
+/// evals, cache writes — renders as a per-lane timeline in
 /// Perfetto or chrome://tracing.
 ///
 /// Zero-cost when off: a SpanScope whose collector is disabled at

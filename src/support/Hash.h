@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Stable (cross-run, cross-platform) 64-bit FNV-1a hashing used to key
-/// the engine's evaluation cache and to fingerprint machines and
-/// checkpoints. Deliberately not std::hash, whose value is unspecified
+/// the engine's evaluation cache and to fingerprint machines and loop
+/// nests. Deliberately not std::hash, whose value is unspecified
 /// and may differ between standard-library builds — these hashes are
 /// persisted to disk and must mean the same thing on reload.
 ///

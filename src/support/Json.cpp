@@ -80,8 +80,12 @@ static std::string numberToString(double N) {
     std::snprintf(Buf, sizeof(Buf), "%lld", static_cast<long long>(N));
     return Buf;
   }
-  if (!std::isfinite(N)) // JSON has no Inf/NaN; store a sentinel.
-    return N > 0 ? "1e308" : (N < 0 ? "-1e308" : "0");
+  // JSON has no Inf/NaN: Inf becomes a +-1e308 sentinel, and NaN null
+  // so a reader sees a missing number rather than a plausible 0.
+  if (std::isnan(N))
+    return "null";
+  if (std::isinf(N))
+    return N > 0 ? "1e308" : "-1e308";
   char Buf[64];
   std::snprintf(Buf, sizeof(Buf), "%.17g", N);
   return Buf;

@@ -314,6 +314,24 @@ TEST(EventAuditTest, BadCostAndColdCacheHitAreCaught) {
   EXPECT_FALSE(sawKind(auditEvents(S), "cold-hit"));
 }
 
+TEST(EventAuditTest, NaNCostWrittenToFileIsBadCost) {
+  // Json writes NaN as null: read back from the file sink it must still
+  // be a bad cost, never a plausible 0.
+  const std::string Path = tempPath("check_audit_nan.jsonl");
+  obs::EventBus &Bus = obs::EventBus::global();
+  ASSERT_TRUE(Bus.openFile(Path));
+  obs::setEventsEnabled(true);
+  const std::vector<Point> Points = {
+      {"v1", "initial", "a", std::numeric_limits<double>::quiet_NaN()}};
+  for (const obs::Event &E : tuneStream(Points, 5.0))
+    obs::publishEvent(E.Type, E.Fields);
+  obs::setEventsEnabled(false);
+  Bus.closeFile();
+  EventAuditReport Report = auditEventsFile(Path);
+  EXPECT_TRUE(sawKind(Report, "bad-cost")) << Report.summary();
+  std::remove(Path.c_str());
+}
+
 TEST(EventAuditTest, ReportedBestMustMatchStreamMinimum) {
   const std::vector<Point> Points = {{"v1", "initial", "a", 9.0},
                                      {"v1", "register", "b", 7.0}};

@@ -25,6 +25,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -542,6 +544,31 @@ TEST(ObsEventBus, JsonlRoundTripAndRejectsMalformed) {
   Json NoType = eventToJson(E);
   NoType.set("type", Json());
   EXPECT_FALSE(eventFromJson(NoType, Bad, &Err));
+}
+
+TEST(ObsEventBus, AppendAfterTornRecordStartsAFreshLine) {
+  // A SIGKILLed writer leaves half a record with no newline; a resumed
+  // process appending to the file must not glue its first event onto it.
+  const std::string Path = ::testing::TempDir() + "obs_torn_append.jsonl";
+  {
+    std::ofstream Out(Path, std::ios::trunc);
+    Out << "{\"seq\":0,\"t_us\":1,\"type\":\"tune.start\","
+        << "\"fields\":{}}\n{\"seq\":1,\"t_";
+  }
+  ScopedEventCapture Capture;
+  obs::EventBus &Bus = obs::EventBus::global();
+  ASSERT_TRUE(Bus.openFile(Path, /*Append=*/true));
+  obs::publishEvent("tune.start", fields("n", 1));
+  Bus.closeFile();
+
+  std::vector<obs::Event> Events;
+  std::vector<std::string> Errors;
+  ASSERT_TRUE(obs::loadEventsFile(Path, Events, nullptr, &Errors));
+  EXPECT_EQ(Errors.size(), 1u); // the torn record alone
+  ASSERT_EQ(Events.size(), 2u);
+  EXPECT_EQ(Events[1].Type, "tune.start");
+  EXPECT_EQ(Events[1].Fields.get("n").asInt(), 1);
+  std::remove(Path.c_str());
 }
 
 TEST(ObsEventBusConcurrency, ParallelPublishersAndReaders) {

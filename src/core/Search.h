@@ -302,7 +302,10 @@ struct StageTelemetry {
 /// to consider — and evaluate them concurrently so the subsequent
 /// sequential decisions hit its memo table. Because every decision is
 /// replayed in the original order against bit-identical costs, the chosen
-/// configuration cannot depend on the degree of parallelism.
+/// configuration cannot depend on the degree of parallelism. Whole
+/// variant searches read nothing of each other, so an Evaluator may also
+/// run them concurrently (runConcurrently); the Tuner reduces their
+/// results in rank order.
 class Evaluator {
 public:
   virtual ~Evaluator() = default;
@@ -336,6 +339,28 @@ public:
   }
 
   virtual EvalStats stats() const = 0;
+
+  /// Cumulative counters of the evaluations made for the variant named
+  /// \p Variant (its Evaluations, CacheHits and BackendSeconds; Rejected
+  /// stays 0). The Tuner diffs it around each variant search, so the
+  /// per-variant ledger stays exact while searches run concurrently.
+  /// Default: stats() — exact only for evaluators whose
+  /// runConcurrently() runs one search at a time.
+  virtual EvalStats variantStats(const std::string &Variant) const {
+    (void)Variant;
+    return stats();
+  }
+
+  /// Runs \p Tasks — independent variant searches that each call into
+  /// this evaluator — and returns when every task has finished. The
+  /// caller reduces their results afterwards, in task order, so the
+  /// outcome cannot depend on how the tasks were scheduled. Default:
+  /// inline, in order, on the calling thread.
+  virtual void
+  runConcurrently(const std::vector<std::function<void()>> &Tasks) {
+    for (const std::function<void()> &Task : Tasks)
+      Task();
+  }
 
   /// Cumulative per-(variant, stage) telemetry rows, sorted by (variant,
   /// stage). Default: none (the engine implements this; the sequential

@@ -8,6 +8,8 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <atomic>
+#include <functional>
 #include <map>
 
 using namespace eco;
@@ -171,9 +173,12 @@ TuneResult eco::tune(const LoopNest &Original, Evaluator &Eval,
     }
   }
 
-  // Full search on the top candidates. Per-variant Points/CacheHits come
-  // from the evaluator's stats deltas (not a hand-maintained count in
-  // the search loop), so they stay correct under parallel evaluation.
+  // Full search on the top candidates. No search reads another's
+  // result, so the evaluator may run them concurrently; the winner is
+  // then reduced in rank order with a strict <, which makes it identical
+  // to a one-at-a-time tune. Per-variant Points/CacheHits come from the
+  // evaluator's per-variant counters, which stay exact when searches
+  // overlap.
   Result.BestCost = std::numeric_limits<double>::infinity();
   size_t ToSearch =
       std::min<size_t>(Opts.MaxVariantsToSearch, Ranking.size());
@@ -188,36 +193,44 @@ TuneResult eco::tune(const LoopNest &Original, Evaluator &Eval,
   SearchOptions SOpts = Opts.Search;
   if (!SOpts.ShouldStop && Opts.ShouldStop)
     SOpts.ShouldStop = Opts.ShouldStop;
+  std::vector<VariantSearchResult> Found(ToSearch);
+  std::atomic<size_t> Done{0};
+  std::vector<std::function<void()>> Searches;
+  Searches.reserve(ToSearch);
+  for (size_t R = 0; R < ToSearch; ++R)
+    Searches.push_back([&, R] {
+      if (Opts.ShouldStop && Opts.ShouldStop())
+        return; // cancelled before this search started: stays unsearched
+      const DerivedVariant &V = Result.Variants[Ranking[R].Index];
+      VariantSummary &Sum = Result.Summaries[Ranking[R].Index];
+      obs::SpanScope S("search:" + V.Spec.Name, "tune");
+      EvalStats Before = Eval.variantStats(V.Spec.Name);
+      Timer SearchTime;
+      Found[R] = searchVariant(V, Eval, Problem, SOpts);
+      EvalStats After = Eval.variantStats(V.Spec.Name);
+      Sum.Points = After.Evaluations - Before.Evaluations;
+      Sum.CacheHits = After.CacheHits - Before.CacheHits;
+      Sum.Infeasible = Found[R].Infeasible;
+      Sum.Seconds = SearchTime.seconds();
+      Sum.Searched = true;
+      size_t Finished = ++Done;
+      if (Metrics)
+        obs::metrics().gauge("tune.variants_done").set(
+            static_cast<double>(Finished));
+    });
+  Eval.runConcurrently(Searches);
+
+  size_t Searched = 0;
   for (size_t R = 0; R < ToSearch; ++R) {
-    if (Opts.ShouldStop && Opts.ShouldStop()) {
-      Result.Cancelled = true;
-      ECO_LOG(Info) << "tune of " << Original.Name
-                    << " cancelled after " << R << " of " << ToSearch
-                    << " variant searches";
-      break;
-    }
     size_t VI = Ranking[R].Index;
     const DerivedVariant &V = Result.Variants[VI];
     VariantSummary &Sum = Result.Summaries[VI];
-
-    VariantSearchResult SR;
-    {
-      obs::SpanScope S("search:" + V.Spec.Name, "tune");
-      EvalStats Before = Eval.stats();
-      Timer SearchTime;
-      SR = searchVariant(V, Eval, Problem, SOpts);
-      EvalStats After = Eval.stats();
-      Sum.Points = After.Evaluations - Before.Evaluations;
-      Sum.CacheHits = After.CacheHits - Before.CacheHits;
-      Sum.Infeasible = SR.Infeasible;
-      Sum.Seconds = SearchTime.seconds();
-    }
-    Sum.Searched = true;
+    if (!Sum.Searched)
+      continue;
+    ++Searched;
+    const VariantSearchResult &SR = Found[R];
     Sum.BestCost = SR.BestCost;
     Sum.BestConfig = V.configString(SR.BestConfig);
-    if (Metrics)
-      obs::metrics().gauge("tune.variants_done").set(
-          static_cast<double>(R + 1));
     ECO_LOG(Debug) << "variant " << V.Spec.Name << " best cost "
                    << SR.BestCost << " after " << Sum.Points
                    << " points";
@@ -235,9 +248,15 @@ TuneResult eco::tune(const LoopNest &Original, Evaluator &Eval,
       }
     }
   }
+  if (Searched < ToSearch) {
+    Result.Cancelled = true;
+    ECO_LOG(Info) << "tune of " << Original.Name << " cancelled after "
+                  << Searched << " of " << ToSearch
+                  << " variant searches";
+  }
 
-  // A cancellation during the last variant's search never reaches the
-  // loop-top check; the flag must still reach the caller.
+  // A cancellation inside a search that had already started never skips
+  // a search; the flag must still reach the caller.
   if (!Result.Cancelled && Opts.ShouldStop && Opts.ShouldStop())
     Result.Cancelled = true;
 
@@ -293,9 +312,6 @@ TuneResult eco::tune(const LoopNest &Original, Evaluator &Eval,
     F.set("points", Result.TotalPoints);
     F.set("cache_hits", Result.TotalCacheHits);
     F.set("variants_derived", Result.Variants.size());
-    size_t Searched = 0;
-    for (const VariantSummary &Sum : Result.Summaries)
-      Searched += Sum.Searched;
     F.set("variants_searched", Searched);
     F.set("variants_rejected", Result.VariantsRejected);
     F.set("configs_rejected", Result.ConfigsRejected);

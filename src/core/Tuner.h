@@ -41,7 +41,7 @@ struct VariantSummary {
   bool Searched = false;
   double BestCost = 0;
   std::string BestConfig;
-  size_t Points = 0;        ///< backend evaluations (from evaluator stats)
+  size_t Points = 0;        ///< backend evaluations (Evaluator::variantStats)
   size_t CacheHits = 0;     ///< memo hits during this variant's search
   size_t Infeasible = 0;    ///< candidates model constraints pruned unrun
   double Seconds = 0;       ///< wall-clock of this variant's search
@@ -68,6 +68,8 @@ struct TuneOptions {
   /// SearchOptions::ShouldStop when that hook is unset). Once it returns
   /// true the tune stops starting new work and returns the best result
   /// found so far with TuneResult::Cancelled set. Empty = never cancel.
+  /// It must be thread-safe: an evaluator that runs the variant searches
+  /// concurrently polls it from each search's lane.
   std::function<bool()> ShouldStop;
 };
 
@@ -114,9 +116,12 @@ struct TuneResult {
 
 /// Runs the complete two-phase optimization of \p Original through
 /// \p Eval (a DirectEvaluator, or the engine's parallel EvalEngine) at
-/// the given problem size(s). Point/time accounting in the result comes
-/// from the evaluator's stats, so it stays correct when evaluations run
-/// concurrently or are served from a persistent cache.
+/// the given problem size(s). The variant searches run through
+/// Evaluator::runConcurrently and are reduced in rank order, so the
+/// winner does not depend on the evaluator's parallelism. Point/time
+/// accounting in the result comes from the evaluator's stats, so it
+/// stays correct when evaluations run concurrently or are served from a
+/// persistent cache.
 TuneResult tune(const LoopNest &Original, Evaluator &Eval,
                 const ParamBindings &Problem, const TuneOptions &Opts = {});
 

@@ -9,6 +9,8 @@
 #include "support/Timer.h"
 #include "transform/TransformError.h"
 
+#include <algorithm>
+#include <exception>
 #include <limits>
 #include <set>
 
@@ -202,7 +204,6 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
   HWCounters Delta;
   if (LiveHW)
     Delta = LiveHW->delta(Before);
-  CachePtr->insert(Key, O.Cost);
 
   if (obs::SpanCollector::global().enabled())
     obs::SpanCollector::global().record(
@@ -234,6 +235,10 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
                     LiveHW ? &Delta : nullptr);
   if (obs::eventsEnabled())
     publishEvaluated(V, Config, Stage, O, Warm);
+  // Insert only after the event is out: a concurrent search of another
+  // variant whose instantiation shares this key can then only publish
+  // its cache hit after this evaluation in the stream.
+  CachePtr->insert(Key, O.Cost);
   if (SaveNow) {
     // Periodic durability for kill/resume. Saves are serialized: when
     // another lane is already writing the snapshot, skip rather than
@@ -248,7 +253,40 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
 
 EvalOutcome EvalEngine::evaluate(const DerivedVariant &V, const Env &Config,
                                  const std::string &Stage) {
-  return evalOne(V, Config, Stage, /*Lane=*/0, /*Warm=*/false);
+  // A search running as a runConcurrently task evaluates on its own
+  // lane's backend; the calling thread outside any task is lane 0.
+  return evalOne(V, Config, Stage, std::max(Pool->currentLane(), 0),
+                 /*Warm=*/false);
+}
+
+void EvalEngine::runConcurrently(
+    const std::vector<std::function<void()>> &Tasks) {
+  if (Pool->jobs() <= 1 || Tasks.size() <= 1) {
+    // Nothing to overlap: run inline, outside any lane task, so a lone
+    // search still fans its warm batches out to the lanes.
+    Evaluator::runConcurrently(Tasks);
+    return;
+  }
+  // Lane threads inherit the submitting thread's job id, and an escaping
+  // exception is carried back to it (the first in task order) instead
+  // of terminating a worker thread.
+  const uint64_t Job = obs::currentJobId();
+  std::vector<std::exception_ptr> Errors(Tasks.size());
+  std::vector<std::function<void(int)>> LaneTasks;
+  LaneTasks.reserve(Tasks.size());
+  for (size_t I = 0; I < Tasks.size(); ++I)
+    LaneTasks.push_back([&Tasks, &Errors, I, Job](int) {
+      obs::ScopedJobId JobScope(Job);
+      try {
+        Tasks[I]();
+      } catch (...) {
+        Errors[I] = std::current_exception();
+      }
+    });
+  Pool->runBatch(LaneTasks);
+  for (const std::exception_ptr &E : Errors)
+    if (E)
+      std::rethrow_exception(E);
 }
 
 void EvalEngine::warmMany(
@@ -256,7 +294,10 @@ void EvalEngine::warmMany(
     const std::string &Stage) {
   bool WantRemote =
       Opts.RemoteWarm && (!Opts.RemoteWarmGate || Opts.RemoteWarmGate());
-  if ((Pool->jobs() <= 1 && !WantRemote) || Points.size() < 2)
+  // Inside a runConcurrently task every lane is already searching, so
+  // only the remote fleet (thread-safe) can take the batch.
+  const bool LocalLanes = Pool->jobs() > 1 && Pool->currentLane() < 0;
+  if ((!LocalLanes && !WantRemote) || Points.size() < 2)
     return; // sequential: the decision loop will evaluate on demand
 
   // Drop duplicates within the batch so two lanes never race to run the
@@ -302,15 +343,18 @@ void EvalEngine::warmMany(
     }
   }
 
-  if (Pool->jobs() <= 1)
+  if (!LocalLanes)
     return; // no local lanes to warm with
 
+  // Lane threads publish under the submitting thread's job id.
+  const uint64_t Job = obs::currentJobId();
   std::vector<std::function<void(int)>> Tasks;
   Tasks.reserve(Unique.size());
   for (const auto &[V, Config] : Unique) {
     const DerivedVariant *Variant = V;
     const Env &Bound = *Config;
-    Tasks.push_back([this, Variant, Bound, Stage](int Lane) {
+    Tasks.push_back([this, Variant, Bound, Stage, Job](int Lane) {
+      obs::ScopedJobId JobScope(Job);
       evalOne(*Variant, Bound, Stage, Lane, /*Warm=*/true);
     });
   }
@@ -322,6 +366,18 @@ void EvalEngine::warmMany(
 EvalStats EvalEngine::stats() const {
   MutexLock Lock(StatsMutex);
   return Stats;
+}
+
+EvalStats EvalEngine::variantStats(const std::string &Variant) const {
+  MutexLock Lock(StatsMutex);
+  EvalStats Sum;
+  for (auto It = VariantStages.lower_bound({Variant, ""});
+       It != VariantStages.end() && It->first.first == Variant; ++It) {
+    Sum.Evaluations += It->second.Evaluations;
+    Sum.CacheHits += It->second.CacheHits;
+    Sum.BackendSeconds += It->second.BackendSeconds;
+  }
+  return Sum;
 }
 
 std::map<std::string, EvalEngine::StageStats> EvalEngine::stageStats() const {

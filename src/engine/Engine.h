@@ -19,9 +19,17 @@
 /// lane) is published as a config.evaluated event on the flight
 /// recorder (obs/Event.h) when events are enabled.
 ///
-/// Determinism: the search's accept/reject decisions happen on the
-/// calling thread in the original sequential order; parallelism only
-/// pre-computes costs into the cache. Backend clones are required to be
+/// Parallelism comes at two grains. runConcurrently() runs the Tuner's
+/// ranked variant searches as pool tasks, one search per lane; a search
+/// evaluates on its lane's backend, and its warm batches skip the local
+/// pool (every lane is already searching) but still go to RemoteWarm.
+/// A lone search, and the Tuner's ranking pass, instead hand their warm
+/// batches to the lanes.
+///
+/// Determinism: each search's accept/reject decisions happen on one
+/// thread in the original sequential order, warm batches only pre-compute
+/// costs into the cache, and the Tuner reduces the searches' results in
+/// rank order with a strict <. Backend clones are required to be
 /// bit-deterministic (the simulator is a pure function), so the chosen
 /// best configuration is identical to a sequential run — demonstrated by
 /// tests/test_engine.cpp.
@@ -113,6 +121,16 @@ public:
 
   EvalStats stats() const override;
 
+  /// Sums the variant's rows of the per-(variant, stage) ledger, so
+  /// concurrent searches of different variants never mix their counts.
+  EvalStats variantStats(const std::string &Variant) const override;
+
+  /// Runs the tasks on the pool's lanes (inline when there is one lane
+  /// or one task). Each task publishes under the caller's job id; the
+  /// first exception in task order is rethrown once all have finished.
+  void
+  runConcurrently(const std::vector<std::function<void()>> &Tasks) override;
+
   /// Per-stage slice of the same counters: how many evaluations / cache
   /// hits each search stage requested and how much backend wall time it
   /// consumed. Keyed by the Stage string the search passes to evaluate()
@@ -165,7 +183,8 @@ private:
   EngineOptions Opts;
   std::unique_ptr<ThreadPool> Pool;
   /// Lane -> backend. Lane 0 is the caller's thread and uses Base;
-  /// lanes >= 1 own clones.
+  /// lanes >= 1 own clones. A lane's backend is only touched by the
+  /// thread running that lane's current task.
   std::vector<std::unique_ptr<EvalBackend>> LaneBackends;
 
   std::shared_ptr<EvalCache> CachePtr; ///< Opts.SharedCache or private

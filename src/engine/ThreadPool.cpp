@@ -3,9 +3,33 @@
 #include "engine/ThreadPool.h"
 
 #include <algorithm>
-#include <cstdint>
 
 using namespace eco;
+
+namespace {
+
+/// Which pool's task, on which lane, the current thread is running.
+struct LaneBinding {
+  const ThreadPool *Pool = nullptr;
+  int Lane = -1;
+};
+thread_local LaneBinding CurrentBinding;
+
+/// Binds the current thread to (Pool, Lane) for one task's duration.
+class ScopedLane {
+public:
+  ScopedLane(const ThreadPool *Pool, int Lane) : Prev(CurrentBinding) {
+    CurrentBinding = {Pool, Lane};
+  }
+  ~ScopedLane() { CurrentBinding = Prev; }
+  ScopedLane(const ScopedLane &) = delete;
+  ScopedLane &operator=(const ScopedLane &) = delete;
+
+private:
+  LaneBinding Prev;
+};
+
+} // namespace
 
 ThreadPool::ThreadPool(int Jobs) : NumJobs(std::max(Jobs, 1)) {
   Workers.reserve(static_cast<size_t>(NumJobs) - 1);
@@ -31,7 +55,10 @@ size_t ThreadPool::drainQueue(int Lane) {
     size_t Task = NextTask++;
     const auto &Fn = (*Batch)[Task];
     Lock.unlock();
-    Fn(Lane);
+    {
+      ScopedLane Bind(this, Lane);
+      Fn(Lane);
+    }
     ++Ran;
     Lock.lock();
     if (--Pending == 0) {
@@ -44,17 +71,14 @@ size_t ThreadPool::drainQueue(int Lane) {
 
 void ThreadPool::workerLoop(int Lane) {
   while (true) {
-    uint64_t SeenSeq;
     {
       MutexLock Lock(M);
       while (!Stopping && !(Batch && NextTask < Batch->size()))
         WorkReady.wait(Lock);
       if (Stopping)
         return;
-      SeenSeq = BatchSeq;
     }
     drainQueue(Lane);
-    (void)SeenSeq;
   }
 }
 
@@ -62,9 +86,14 @@ void ThreadPool::runBatch(
     const std::vector<std::function<void(int)>> &Tasks) {
   if (Tasks.empty())
     return;
-  if (NumJobs == 1) {
+  int Outer = currentLane();
+  if (NumJobs == 1 || Outer >= 0) {
+    // Sequential pool, or a nested batch: Batch/Pending belong to the
+    // in-flight outer batch, so run inline on this lane.
+    int Lane = std::max(Outer, 0);
+    ScopedLane Bind(this, Lane);
     for (const auto &Fn : Tasks)
-      Fn(0);
+      Fn(Lane);
     return;
   }
   {
@@ -72,11 +101,14 @@ void ThreadPool::runBatch(
     Batch = &Tasks;
     NextTask = 0;
     Pending = Tasks.size();
-    ++BatchSeq;
   }
   WorkReady.notify_all();
   drainQueue(/*Lane=*/0);
   MutexLock Lock(M);
   while (Pending != 0)
     BatchDone.wait(Lock);
+}
+
+int ThreadPool::currentLane() const {
+  return CurrentBinding.Pool == this ? CurrentBinding.Lane : -1;
 }

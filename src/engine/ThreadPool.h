@@ -12,6 +12,11 @@
 /// through the queue alongside the workers, so a pool built with N jobs
 /// applies N-way parallelism with only N-1 resident worker threads.
 ///
+/// The engine also runs whole variant searches as one batch, and a search
+/// submits warm batches of its own; a runBatch() issued from inside a
+/// running task therefore runs inline on the calling lane instead of
+/// touching the in-flight batch.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ECO_ENGINE_THREADPOOL_H
@@ -44,9 +49,16 @@ public:
   /// thread participates. Tasks receive a dense lane index in
   /// [0, jobs()) identifying which of the concurrent executors is
   /// running them — the engine uses it to pick a per-thread backend.
-  /// Only one batch may be in flight at a time (the engine's search
-  /// loop is itself sequential, so this is not a restriction).
+  /// A call from inside a task of this pool (a nested batch) runs its
+  /// tasks inline, in order, on the calling task's lane: every lane may
+  /// already be busy with the outer batch, and the lane index stays
+  /// exclusive to one thread. Outside a task, only one thread may
+  /// submit at a time.
   void runBatch(const std::vector<std::function<void(int)>> &Tasks);
+
+  /// The lane of the calling thread while it runs a task of this pool
+  /// (including inline batches), or -1 outside one.
+  int currentLane() const;
 
 private:
   void workerLoop(int Lane);
@@ -65,7 +77,6 @@ private:
   size_t NextTask ECO_GUARDED_BY(M) = 0; ///< next unclaimed in *Batch
   /// Tasks claimed or unclaimed, not yet finished.
   size_t Pending ECO_GUARDED_BY(M) = 0;
-  uint64_t BatchSeq ECO_GUARDED_BY(M) = 0;
   bool Stopping ECO_GUARDED_BY(M) = false;
 };
 

@@ -168,6 +168,43 @@ TEST(ThreadPoolTest, EmptyBatchReturnsImmediately) {
   Pool.runBatch({});
 }
 
+TEST(ThreadPoolTest, NestedBatchRunsInlineOnTheCallingLane) {
+  // The engine runs variant searches as one batch, and each search may
+  // submit a warm batch of its own. The nested call must neither clobber
+  // the in-flight outer batch nor hand a busy lane index to a second
+  // thread: it runs inline on the lane that issued it.
+  ThreadPool Pool(3);
+  EXPECT_EQ(Pool.currentLane(), -1);
+  std::atomic<int> Outer{0}, Inner{0};
+  std::atomic<bool> LanesOk{true};
+  std::vector<std::function<void(int)>> Tasks;
+  for (int T = 0; T < 6; ++T)
+    Tasks.push_back([&](int Lane) {
+      if (Pool.currentLane() != Lane)
+        LanesOk = false;
+      std::vector<std::function<void(int)>> Nested(4, [&, Lane](int In) {
+        if (In != Lane || Pool.currentLane() != Lane)
+          LanesOk = false;
+        Inner.fetch_add(1, std::memory_order_relaxed);
+      });
+      Pool.runBatch(Nested);
+      if (Pool.currentLane() != Lane)
+        LanesOk = false;
+      Outer.fetch_add(1, std::memory_order_relaxed);
+    });
+  Pool.runBatch(Tasks);
+  EXPECT_EQ(Outer.load(), 6);
+  EXPECT_EQ(Inner.load(), 24);
+  EXPECT_TRUE(LanesOk.load());
+  EXPECT_EQ(Pool.currentLane(), -1);
+
+  // The pool is intact afterwards.
+  std::atomic<int> After{0};
+  Pool.runBatch(std::vector<std::function<void(int)>>(
+      5, [&](int) { After.fetch_add(1, std::memory_order_relaxed); }));
+  EXPECT_EQ(After.load(), 5);
+}
+
 // ---- EvalCache ----------------------------------------------------------
 
 TEST(EvalCacheTest, LookupInsertAndCounters) {
@@ -355,6 +392,97 @@ TEST(EngineTest, ParallelSpeedsUpOnMulticoreHosts) {
   EXPECT_GT(SeqSeconds / ParSeconds, 1.5);
 }
 
+// ---- Concurrent variant searches ----------------------------------------
+
+namespace {
+
+/// One tune's ledger as the concurrency tests compare it.
+struct TuneLedger {
+  TuneResult R;
+  std::vector<std::string> Winners; ///< winner.updated, in stream order
+};
+
+TuneLedger tuneWithEvents(const LoopNest &Nest, const ParamBindings &Problem,
+                          int Jobs) {
+  obs::EventBus &Bus = obs::EventBus::global();
+  Bus.clear();
+  obs::setEventsEnabled(true);
+  TuneLedger L;
+  {
+    SimEvalBackend Backend(sgiScaled());
+    EngineOptions Opts;
+    Opts.Jobs = Jobs;
+    EvalEngine Engine(Backend, Opts);
+    L.R = tune(Nest, Engine, Problem);
+  }
+  obs::setEventsEnabled(false);
+  std::vector<obs::Event> Events = Bus.snapshot();
+  // The stream reconciles with the result, and its minimum is the winner.
+  check::EventAuditOptions AOpts;
+  AOpts.AssumeColdCache = true;
+  AOpts.HasExpectedBestCost = true;
+  AOpts.ExpectedBestCost = L.R.BestCost;
+  check::EventAuditReport Audit = check::auditEvents(Events, AOpts);
+  EXPECT_EQ(Audit.Tunes, 1u);
+  EXPECT_TRUE(Audit.ok()) << Audit.summary();
+  for (const obs::Event &E : Events)
+    if (E.Type == "winner.updated")
+      L.Winners.push_back(E.Fields.get("variant").asString() + "|" +
+                          E.Fields.get("config").asString() + "|" +
+                          strformat("%.17g",
+                                    E.Fields.get("cost").asNumber()));
+  Bus.clear();
+  return L;
+}
+
+} // namespace
+
+TEST(EngineTest, ConcurrentSearchesKeepPerVariantAccounting) {
+  // Four lanes search four ranked variants at once. Each variant's
+  // Points/CacheHits must still be its own (not a slice of a global
+  // counter other searches moved meanwhile), so they equal the Jobs=1
+  // ledger, the searches plus the ranking pass account for every
+  // backend evaluation, and the flight record audits clean.
+  struct Case {
+    LoopNest Nest;
+    ParamBindings Problem;
+  };
+  Case Cases[] = {{makeMatMul(), {{"N", 64}}}, {makeJacobi(), {{"N", 32}}}};
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Nest.Name);
+    TuneLedger Seq = tuneWithEvents(C.Nest, C.Problem, 1);
+    TuneLedger Par = tuneWithEvents(C.Nest, C.Problem, 4);
+    ASSERT_GE(Seq.R.BestVariant, 0);
+    EXPECT_EQ(winnerOf(Par.R), winnerOf(Seq.R));
+    EXPECT_EQ(Par.Winners, Seq.Winners);
+    EXPECT_FALSE(Seq.Winners.empty());
+
+    size_t Searched = 0;
+    ASSERT_EQ(Par.R.Summaries.size(), Seq.R.Summaries.size());
+    for (size_t I = 0; I < Seq.R.Summaries.size(); ++I) {
+      const VariantSummary &S = Seq.R.Summaries[I];
+      const VariantSummary &P = Par.R.Summaries[I];
+      SCOPED_TRACE(S.Name);
+      EXPECT_EQ(P.Searched, S.Searched);
+      EXPECT_EQ(P.Points, S.Points);
+      EXPECT_EQ(P.CacheHits, S.CacheHits);
+      EXPECT_EQ(P.Infeasible, S.Infeasible);
+      Searched += S.Searched;
+    }
+    EXPECT_GE(Searched, 2u); // the searches really overlapped
+
+    for (const TuneLedger *L : {&Seq, &Par}) {
+      size_t Points = 0;
+      for (const VariantSummary &S : L->R.Summaries)
+        Points += S.Points;
+      for (const StageTelemetry &Row : L->R.Telemetry)
+        if (Row.Stage == "rank")
+          Points += Row.Evaluations;
+      EXPECT_EQ(Points, L->R.TotalPoints);
+    }
+  }
+}
+
 // ---- Cache persistence across runs --------------------------------------
 
 TEST(EngineTest, SecondRunFromCacheFileEvaluatesNothing) {
@@ -423,7 +551,7 @@ TEST(EngineTest, ResumedTuneAppendsEventsInsteadOfClobbering) {
   std::remove(Cache.c_str());
 
   std::vector<std::string> Args = {"--kernel=matmul", "--n=48",
-                                   "--scale=16",      "--jobs=2",
+                                   "--scale=16",      "--jobs=4",
                                    "--cache-file=" + Cache,
                                    "--events-file=" + Events};
   ASSERT_EQ(runProgram(Cli, Args), 0);
@@ -651,7 +779,7 @@ TEST(EngineTest, ChromeTraceCoversEvaluationsWithLaneAttribution) {
   }
   // One eval span per real backend evaluation.
   EXPECT_EQ(EvalSpans, R.TotalPoints);
-  EXPECT_TRUE(SawNonZeroLane); // warm batches really ran on lane 1
+  EXPECT_TRUE(SawNonZeroLane); // searches really ran on lane 1
   ASSERT_GT(TuneDur, 0u);
   // The stage/search spans nest inside the tune span's interval.
   for (const obs::SpanRecord &S : Spans)

@@ -72,6 +72,28 @@ BatchContext someContext() {
   return Ctx;
 }
 
+/// Joins an evalBatch thread on every exit path. After a failed ASSERT's
+/// early return the thread may still be blocked in evalBatch, so the
+/// pool is shut down first (failing its outstanding batches); the test
+/// then reports its failure instead of std::terminate ending the suite
+/// on a joinable std::thread.
+class JoinOnExit {
+public:
+  JoinOnExit(WorkerPool &Pool, std::thread &T) : Pool(Pool), T(T) {}
+  ~JoinOnExit() {
+    if (!T.joinable())
+      return;
+    Pool.shutdown();
+    T.join();
+  }
+  JoinOnExit(const JoinOnExit &) = delete;
+  JoinOnExit &operator=(const JoinOnExit &) = delete;
+
+private:
+  WorkerPool &Pool;
+  std::thread &T;
+};
+
 uint64_t helloWorker(WorkerPool &Pool, const std::string &Name) {
   Json Req = Json::object();
   Req.set("name", Name);
@@ -271,6 +293,7 @@ TEST(WorkerPoolTest, SilentWorkerIsEvictedByHeartbeatTimeout) {
   std::vector<RemotePoint> Points = somePoints(1);
   std::thread Evaluator(
       [&] { Pool.evalBatch(someContext(), Points, "warm", Cache); });
+  JoinOnExit Joiner(Pool, Evaluator);
 
   // The frozen worker takes the batch and never speaks again; the
   // reaper (driven by evalBatch's wait laps) must evict it and hand the

@@ -16,7 +16,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "check/DbAudit.h"
+#include "check/EventAudit.h"
 #include "check/FaultInject.h"
+#include "obs/Event.h"
 #include "obs/Metrics.h"
 #include "obs/Span.h"
 #include "serve/Client.h"
@@ -563,6 +565,50 @@ TEST(ServeServiceTest, DeadlineExpiresMidSearchCooperatively) {
   EXPECT_EQ(R.Status, "expired");
   EXPECT_GT(R.Evaluations, 0u);
   EXPECT_FALSE(Service.db().exact("matmul", sgiHash(), 144).has_value());
+}
+
+TEST(ServeServiceTest, EngineLanesPublishUnderTheJobId) {
+  // At EngineJobs > 1 the variant searches and warm batches run on lane
+  // threads. Each must publish under the submitting job's id (a
+  // thread-local of the service worker), or its config.evaluated events
+  // fall out of the job's window and the flight record stops
+  // reconciling with the job's TuneResult.
+  std::string Path = tempPath("serve_lane_events.jsonl");
+  std::remove(Path.c_str());
+  obs::EventBus &Bus = obs::EventBus::global();
+  ASSERT_TRUE(Bus.openFile(Path));
+  obs::setEventsEnabled(true);
+  JobResult R;
+  {
+    ServiceOptions Opts;
+    Opts.EngineJobs = 3;
+    TuneService Service(Opts);
+    R = Service.run(smallSpec(40));
+  }
+  obs::setEventsEnabled(false);
+  Bus.closeFile();
+  Bus.clear();
+  ASSERT_TRUE(R.ok()) << R.Error;
+
+  size_t Evaluated = 0, Unattributed = 0;
+  std::ifstream In(Path);
+  std::string Line;
+  while (std::getline(In, Line)) {
+    obs::Event E;
+    std::string Err;
+    ASSERT_TRUE(obs::eventFromJson(Json::parse(Line, &Err), E, &Err)) << Err;
+    if (E.Type != "config.evaluated")
+      continue;
+    ++Evaluated;
+    Unattributed += E.Job == 0;
+  }
+  EXPECT_GE(Evaluated, R.Evaluations);
+  EXPECT_EQ(Unattributed, 0u) << "of " << Evaluated << " evaluations";
+
+  check::EventAuditReport Audit = check::auditEventsFile(Path);
+  EXPECT_EQ(Audit.Tunes, 1u);
+  EXPECT_TRUE(Audit.ok()) << Audit.summary();
+  std::remove(Path.c_str());
 }
 
 TEST(ServeServiceTest, CancelResolvesWithoutStoring) {
